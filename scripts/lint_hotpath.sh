@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Hot-path allocation lint for src/sim/, src/runtime/ and the scenario
-# replay loop (src/workload/storm_source.*).
+# Hot-path allocation lint for src/sim/, src/runtime/, the scenario replay
+# loop (src/workload/storm_source.*) and the per-packet pieces of src/core,
+# src/pisa and src/net.
 #
 # The event kernel's per-event path must not allocate: no heap allocation
 # (new/make_unique/make_shared/malloc), no std::function (type-erased heap
@@ -22,14 +23,20 @@ cd "$(dirname "$0")/.."
 # per-event StormSource lanes must not), plus the burst-mode kernel
 # consumers in src/core: the merger's per-slot submit path and the timer
 # block's per-wake expiry path both run once per event burst, and the
-# optimizer's fused-dispatch plan is consulted on every TM event.
+# optimizer's fused-dispatch plan is consulted on every TM event. Every
+# packet hop runs the deparser and moves a pooled net::Packet, and every
+# enq/deq event of an aggregated register queues a dirty index: a per-hop
+# `new` or std::deque there would undo the one-buffer-per-packet path.
 files=$(
   {
     find src/sim src/runtime -name '*.hpp' -o -name '*.cpp'
     ls src/workload/storm_source.hpp src/workload/storm_source.cpp
     ls src/core/event_merger.hpp src/core/event_merger.cpp \
        src/core/timer_wheel.hpp src/core/timer_wheel.cpp \
-       src/core/dispatch_plan.hpp
+       src/core/dispatch_plan.hpp \
+       src/core/aggregated_register.hpp src/core/aggregated_register.cpp
+    ls src/pisa/deparser.hpp src/pisa/deparser.cpp
+    ls src/net/packet.hpp src/net/packet.cpp
   } | sort
 )
 status=0

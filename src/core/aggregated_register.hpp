@@ -23,12 +23,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "core/register_probe.hpp"
 #include "pisa/register.hpp"
+#include "sim/ring_queue.hpp"
 
 namespace edp::core {
 
@@ -132,13 +132,17 @@ class AggregatedRegister {
 
  private:
   /// One aggregation array: coalesced deltas + FIFO of dirty indices.
+  /// `in_fifo` keeps an index in the FIFO at most once, so a FIFO reserved
+  /// to the array size never grows.
   struct AggArray {
     explicit AggArray(std::size_t size)
-        : delta(size, 0), dirty_since(size, 0), in_fifo(size, 0), ports(1) {}
+        : delta(size, 0), dirty_since(size, 0), in_fifo(size, 0), ports(1) {
+      fifo.reserve(size);
+    }
     std::vector<std::int64_t> delta;
     std::vector<std::uint64_t> dirty_since;  ///< cycle the index went dirty
     std::vector<std::uint8_t> in_fifo;
-    std::deque<std::uint32_t> fifo;          ///< dirty indices, oldest first
+    sim::RingQueue<std::uint32_t> fifo;      ///< dirty indices, oldest first
     pisa::PortUsage ports;
   };
 

@@ -496,7 +496,7 @@ void EventSwitch::route(pisa::Phv&& phv) {
     }
     ++counters_.recirculated;
     phv.std_meta.recirculate = false;
-    net::Packet pkt = deparser_.deparse(phv);
+    net::Packet pkt = deparser_.deparse(std::move(phv));
     ++pkt.meta().recirc_count;
     merger_.submit_packet(std::move(pkt), PacketOrigin::kRecirculated);
     return;
@@ -510,26 +510,25 @@ void EventSwitch::route(pisa::Phv&& phv) {
   const std::uint8_t qid = phv.std_meta.qid;
 
   if (phv.std_meta.mcast_group != 0) {
-    // Packet replication engine: one independent copy per group member.
-    // Each enqueue copies `wire` — replicas each own a copy, and the copy
-    // keeps the pooled deparse buffer recycling locally instead of being
-    // pinned in the traffic manager while queues build up (see the replay
-    // steady-state allocation gauge).
+    // Packet replication engine: the packet is deparsed once (in place when
+    // its layout is unchanged) and every group member's queue gets its own
+    // copy in a pooled buffer.
     const auto it = mcast_.find(phv.std_meta.mcast_group);
     if (it == mcast_.end()) {
       ++counters_.bad_port_drops;
       return;
     }
-    const net::Packet wire = deparser_.deparse(phv);
+    const std::uint64_t rank = phv.std_meta.pifo_rank;
+    const net::Packet wire = deparser_.deparse(std::move(phv));
     for (const std::uint16_t port : it->second) {
       if (port >= ports_.size() || qid >= config_.queues_per_port) {
         ++counters_.bad_port_drops;
         continue;
       }
       tm_::QueuedPacket qp;
-      qp.rank = phv.std_meta.pifo_rank;
+      qp.rank = rank;
       qp.deq_meta = deq_meta;
-      qp.packet = wire;
+      qp.packet = net::Packet(wire);
       if (tm_.enqueue(port, qid, std::move(qp), enq_meta, sched_.now())) {
         try_transmit(port);
       }
@@ -538,11 +537,11 @@ void EventSwitch::route(pisa::Phv&& phv) {
     return;
   }
 
-  // Unicast: deparse straight into the queued packet's own (plain, non-
-  // pooled) buffer — no intermediate pooled emit + copy-out. The queue
-  // owning a plain buffer is also what the replay steady-state allocation
-  // gauge wants: packets resident in the traffic manager must not pin
-  // pooled buffers while queues build up.
+  // Unicast: the packet waits in the traffic manager in the (pooled)
+  // buffer it arrived in — the deparser re-encodes the headers over it
+  // unless the program changed the header layout. The buffer returns to
+  // the pool where the packet leaves the simulation (a sink host or a
+  // drop), so the pool grows once, to the in-flight peak.
   const std::uint16_t port = phv.std_meta.egress_port;
   if (port >= ports_.size() || qid >= config_.queues_per_port) {
     ++counters_.bad_port_drops;
@@ -551,7 +550,7 @@ void EventSwitch::route(pisa::Phv&& phv) {
   tm_::QueuedPacket qp;
   qp.rank = phv.std_meta.pifo_rank;
   qp.deq_meta = deq_meta;
-  deparser_.deparse_into(phv, qp.packet);
+  qp.packet = deparser_.deparse(std::move(phv));
   if (tm_.enqueue(port, qid, std::move(qp), enq_meta, sched_.now())) {
     try_transmit(port);
   }
@@ -592,7 +591,7 @@ void EventSwitch::try_transmit(std::uint16_t port) {
           merger_.submit_packet(std::move(clone),
                                 PacketOrigin::kRecirculated);
         }
-        pkt = deparser_.deparse(phv);
+        pkt = deparser_.deparse(std::move(phv));
       } else {
         pkt = std::move(phv.packet);  // pass through unmodified
       }

@@ -66,9 +66,12 @@ void TimingWheel::advance_to(std::uint64_t tick, std::vector<Expired>& out) {
       for (std::size_t level = 1; level < kLevels; ++level) {
         const std::size_t slot =
             static_cast<std::size_t>((now_ / width) % kSlots);
-        auto entries = std::move(slots_[level][slot]);
-        slots_[level][slot].clear();
-        for (auto& e : entries) {
+        // Swap the slot with the (empty) scratch instead of moving it out:
+        // the slot keeps a storage, so the next re-arm into it does not
+        // allocate.
+        cascade_scratch_.clear();
+        cascade_scratch_.swap(slots_[level][slot]);
+        for (const Entry& e : cascade_scratch_) {
           if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
             cancelled_.erase(it);
             continue;

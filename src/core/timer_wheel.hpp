@@ -74,6 +74,7 @@ class TimingWheel {
 
   std::uint64_t now_ = 0;
   std::vector<Entry> slots_[kLevels][kSlots];
+  std::vector<Entry> cascade_scratch_;  ///< the slot being cascaded
   std::unordered_set<TimerId> cancelled_;
   std::size_t live_ = 0;
   TimerId next_id_ = 1;

@@ -19,9 +19,10 @@ namespace edp::net {
 // run_until() spawns fresh workers; their caches flush to the central pool
 // on thread exit, and new workers refill from it in batches).
 //
-// Stats are process-wide relaxed atomics — the hook behind
-// packet_buffer_pool_stats(), which benches use to prove the steady state
-// allocates nothing.
+// A packet keeps its buffer from source to sink (the switch deparses in
+// place), so each buffer comes back once and the pool grows only to the
+// run's in-flight peak. Stats are process-wide relaxed atomics — the hook
+// behind packet_buffer_pool_stats().
 
 namespace {
 
@@ -80,7 +81,7 @@ class CentralPool {
 // caches here from thread_local destructors, whose order relative to
 // static destruction is unsequenced — a never-destroyed pool is immune.
 CentralPool& central() {
-  static CentralPool* pool = new CentralPool;
+  static CentralPool* pool = new CentralPool;  // hotpath-ok: leaked singleton
   return *pool;
 }
 
@@ -106,23 +107,6 @@ Buffer acquire_buffer(std::size_t size) {
   }
   counters().allocated.fetch_add(1, std::memory_order_relaxed);
   return Buffer(size, 0);
-}
-
-void release_buffer(Buffer&& b) {
-  if (b.capacity() == 0) {
-    return;  // nothing worth recycling (default-constructed / moved-from)
-  }
-  if (b.capacity() > kMaxPooledCapacity) {
-    counters().dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto& cache = t_cache.buffers;
-  if (cache.size() >= kThreadCacheMax) {
-    central().absorb(cache);
-  }
-  counters().released.fetch_add(1, std::memory_order_relaxed);
-  b.clear();
-  cache.push_back(std::move(b));
 }
 
 }  // namespace
@@ -153,16 +137,19 @@ Packet& Packet::operator=(const Packet& o) {
   return *this;
 }
 
-Packet& Packet::operator=(Packet&& o) noexcept {
-  if (this != &o) {
-    release_buffer(std::move(bytes_));
-    bytes_ = std::move(o.bytes_);
-    meta_ = o.meta_;
+void Packet::recycle(std::vector<std::uint8_t>&& b) noexcept {
+  if (b.capacity() > kMaxPooledCapacity) {
+    counters().dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
-  return *this;
+  auto& cache = t_cache.buffers;
+  if (cache.size() >= kThreadCacheMax) {
+    central().absorb(cache);
+  }
+  counters().released.fetch_add(1, std::memory_order_relaxed);
+  b.clear();
+  cache.push_back(std::move(b));
 }
-
-Packet::~Packet() { release_buffer(std::move(bytes_)); }
 
 void Packet::append(std::span<const std::uint8_t> data) {
   bytes_.insert(bytes_.end(), data.begin(), data.end());

@@ -18,9 +18,10 @@ namespace edp::net {
 
 /// Process-wide counters for the pooled packet payload buffers (see
 /// packet.cpp). `allocated` is the number of acquires the pool could not
-/// serve from a recycled buffer — i.e. real allocator traffic. Benches
-/// sample this before/after a timed phase to assert the steady state runs
-/// at zero allocations per event.
+/// serve from a recycled buffer; `dropped` counts buffers the pool turned
+/// away when full (0 while every packet keeps one buffer, source to sink).
+/// These see only the pool — the heap counter (sim/heap_count.hpp) sees
+/// every allocation.
 sim::PoolStats packet_buffer_pool_stats();
 
 /// Intrinsic (non-programmable) packet metadata, set by the device.
@@ -50,8 +51,23 @@ class Packet {
   Packet& operator=(const Packet& o);
   Packet(Packet&& o) noexcept
       : bytes_(std::move(o.bytes_)), meta_(o.meta_) {}
-  Packet& operator=(Packet&& o) noexcept;
-  ~Packet();
+  Packet& operator=(Packet&& o) noexcept {
+    if (this != &o) {
+      if (bytes_.capacity() != 0) {
+        recycle(std::move(bytes_));
+      }
+      bytes_ = std::move(o.bytes_);
+      meta_ = o.meta_;
+    }
+    return *this;
+  }
+  // Inline so the many moved-from shells a packet leaves behind on its way
+  // through the pipeline die without an out-of-line call.
+  ~Packet() {
+    if (bytes_.capacity() != 0) {
+      recycle(std::move(bytes_));
+    }
+  }
 
   std::size_t size() const { return bytes_.size(); }
   bool empty() const { return bytes_.empty(); }
@@ -162,6 +178,9 @@ class Packet {
   void insert_zeros(std::size_t off, std::size_t n);
 
  private:
+  /// Hand a buffer with capacity back to the pool (packet.cpp).
+  static void recycle(std::vector<std::uint8_t>&& b) noexcept;
+
   std::vector<std::uint8_t> bytes_;
   PacketMeta meta_;
 };

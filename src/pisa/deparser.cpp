@@ -1,85 +1,105 @@
 #include "pisa/deparser.hpp"
 
-namespace edp::pisa {
+#include <algorithm>
 
-net::Packet Deparser::deparse(const Phv& phv) const {
-  // Pooled zero-size buffer: the per-layer growth below stays inside the
-  // recycled capacity, so re-emitting a packet does not allocate.
-  net::Packet out(std::size_t{0});
-  deparse_into(phv, out);
-  return out;
+namespace edp::pisa {
+namespace {
+
+/// Wire bytes the valid headers of `phv` occupy.
+std::size_t header_bytes(const Phv& phv) {
+  std::size_t n = 0;
+  n += phv.eth ? net::EthernetHeader::kSize : 0;
+  n += phv.vlan ? net::VlanHeader::kSize : 0;
+  n += phv.ipv4 ? net::Ipv4Header::kSize : 0;
+  if (phv.tcp) {
+    n += net::TcpHeader::kSize;
+  } else if (phv.udp) {
+    n += net::UdpHeader::kSize;
+  }
+  n += phv.hula ? net::HulaProbeHeader::kSize : 0;
+  n += phv.liveness ? net::LivenessHeader::kSize : 0;
+  n += phv.kv ? net::KvHeader::kSize : 0;
+  n += phv.int_report ? net::IntReportHeader::kSize : 0;
+  return n;
 }
 
-void Deparser::deparse_into(const Phv& phv, net::Packet& out) const {
-  out.clear();
-  // Typical re-emits keep the original framing, so the final size is the
-  // original size; reserving it up front makes the per-layer growth below
-  // at most one allocation even into a fresh buffer.
-  out.reserve(phv.packet.size());
-
-  // Emit headers outermost-first by growing the buffer per layer.
-  const auto grow = [&out](std::size_t n) {
-    const std::size_t off = out.size();
-    out.pad_to(off + n);
-    return off;
-  };
-
+/// The one header-emit routine behind both deparse forms: encodes the valid
+/// headers outermost-first over bytes [0, header_bytes(phv)) of `out`,
+/// whose size is already the final wire size. The IPv4 total length and
+/// checksum and the UDP length are computed from that size.
+void emit_headers(const Phv& phv, net::Packet& out) {
+  const std::size_t total = out.size();
+  std::size_t off = 0;
   if (phv.eth) {
     auto eth = *phv.eth;
     // Keep the EtherType chain consistent with header validity.
     if (phv.vlan) {
       eth.ether_type = net::kEtherTypeVlan;
     }
-    eth.encode(out, grow(net::EthernetHeader::kSize));
+    eth.encode(out, off);
+    off += net::EthernetHeader::kSize;
   }
   if (phv.vlan) {
-    phv.vlan->encode(out, grow(net::VlanHeader::kSize));
+    phv.vlan->encode(out, off);
+    off += net::VlanHeader::kSize;
   }
-
-  std::size_t ipv4_off = SIZE_MAX;
   if (phv.ipv4) {
-    ipv4_off = grow(net::Ipv4Header::kSize);
-    phv.ipv4->encode(out, ipv4_off);
+    auto ip = *phv.ipv4;
+    ip.total_length = static_cast<std::uint16_t>(total - off);
+    ip.update_checksum();
+    ip.encode(out, off);
+    off += net::Ipv4Header::kSize;
   }
-  std::size_t udp_off = SIZE_MAX;
   if (phv.tcp) {
-    phv.tcp->encode(out, grow(net::TcpHeader::kSize));
+    phv.tcp->encode(out, off);
+    off += net::TcpHeader::kSize;
   } else if (phv.udp) {
-    udp_off = grow(net::UdpHeader::kSize);
-    phv.udp->encode(out, udp_off);
+    auto udp = *phv.udp;
+    udp.length = static_cast<std::uint16_t>(total - off);
+    udp.encode(out, off);
+    off += net::UdpHeader::kSize;
   }
   if (phv.hula) {
-    phv.hula->encode(out, grow(net::HulaProbeHeader::kSize));
+    phv.hula->encode(out, off);
+    off += net::HulaProbeHeader::kSize;
   }
   if (phv.liveness) {
-    phv.liveness->encode(out, grow(net::LivenessHeader::kSize));
+    phv.liveness->encode(out, off);
+    off += net::LivenessHeader::kSize;
   }
   if (phv.kv) {
-    phv.kv->encode(out, grow(net::KvHeader::kSize));
+    phv.kv->encode(out, off);
+    off += net::KvHeader::kSize;
   }
   if (phv.int_report) {
-    phv.int_report->encode(out, grow(net::IntReportHeader::kSize));
+    phv.int_report->encode(out, off);
   }
+}
 
-  // Unparsed payload from the original packet.
-  if (phv.payload_offset < phv.packet.size()) {
-    out.append(phv.packet.bytes().subspan(phv.payload_offset));
-  }
+}  // namespace
 
-  // Back-patch lengths and checksums that depend on the final size.
-  if (ipv4_off != SIZE_MAX) {
-    auto ip = net::Ipv4Header::decode(out, ipv4_off);
-    ip.total_length = static_cast<std::uint16_t>(out.size() - ipv4_off);
-    ip.update_checksum();
-    ip.encode(out, ipv4_off);
-  }
-  if (udp_off != SIZE_MAX) {
-    auto udp = net::UdpHeader::decode(out, udp_off);
-    udp.length = static_cast<std::uint16_t>(out.size() - udp_off);
-    udp.encode(out, udp_off);
-  }
-
+net::Packet Deparser::deparse(const Phv& phv) const {
+  const std::size_t headers = header_bytes(phv);
+  const auto src = phv.packet.bytes();
+  const std::size_t tail =
+      phv.payload_offset < src.size() ? src.size() - phv.payload_offset : 0;
+  // One pooled buffer of the final size: the payload copy and the header
+  // encode both write into recycled capacity.
+  net::Packet out(headers + tail);
+  std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(src.size() - tail),
+              tail, out.bytes().begin() + static_cast<std::ptrdiff_t>(headers));
+  emit_headers(phv, out);
   out.meta() = phv.packet.meta();
+  return out;
+}
+
+net::Packet Deparser::deparse(Phv&& phv) const {
+  if (phv.payload_offset > phv.packet.size() ||
+      header_bytes(phv) != phv.payload_offset) {
+    return deparse(static_cast<const Phv&>(phv));
+  }
+  emit_headers(phv, phv.packet);
+  return std::move(phv.packet);
 }
 
 }  // namespace edp::pisa

@@ -13,14 +13,19 @@ namespace edp::pisa {
 /// The packet's intrinsic metadata (arrival, trace id) is carried over.
 class Deparser {
  public:
+  /// Copying emit into a fresh pooled buffer; `phv` is left untouched.
   net::Packet deparse(const Phv& phv) const;
 
-  /// Same emit, but into a caller-provided packet (cleared first; capacity
-  /// is kept). The byte output is identical to deparse() — this form exists
-  /// so hot paths that hand the result to a long-lived owner (e.g. a
-  /// traffic-manager queue) can build it in place instead of emitting into
-  /// a pooled buffer and copying out of it.
-  void deparse_into(const Phv& phv, net::Packet& out) const;
+  /// Consuming emit with the same bytes and metadata as deparse(phv).
+  /// When the valid headers' total size equals `payload_offset` (the
+  /// program rewrote fields but not the header layout), it re-encodes them
+  /// over bytes [0, payload_offset) of `phv.packet` and returns that very
+  /// buffer: deparse() emits [valid headers][bytes from payload_offset],
+  /// and the tail stays where it is. A changed layout (a header made valid
+  /// or invalid, or a moved payload_offset such as an ndp-trim truncation)
+  /// falls back to the copying emit. Only `phv.packet` is moved from; the
+  /// rest of the PHV stays readable.
+  net::Packet deparse(Phv&& phv) const;
 };
 
 }  // namespace edp::pisa

@@ -178,7 +178,7 @@ class ParallelRuntime {
   /// parity — so `overflow` needs no lock; `debug_phase` asserts the
   /// invariant in debug builds (see push()/drain_inbound()).
   struct Channel {
-    explicit Channel(std::size_t cap) : ring(cap) { overflow.reserve(cap); }
+    explicit Channel(std::size_t cap) : ring(cap) {}
     SpscRing<Msg> ring;
     std::vector<Msg> overflow;  ///< used only after the ring fills
     std::uint64_t pushed = 0;       ///< producer-side count

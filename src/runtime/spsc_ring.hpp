@@ -10,14 +10,20 @@
 // FIFO order is the correctness property the runtime's determinism rests
 // on: messages pushed in simulated-time order by the producing shard are
 // popped in the same order at the window barrier.
+//
+// Slot storage is allocated uninitialized: an element is constructed in
+// place on push and destroyed on pop, so building a ring costs one
+// allocation and no per-slot construction (the runtime sets up two rings
+// per directed shard pair, each thousands of slots of packet messages).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <utility>
-#include <vector>
 
 namespace edp::runtime {
 
@@ -32,8 +38,17 @@ class SpscRing {
     while (cap < min_capacity) {
       cap <<= 1;
     }
-    slots_.resize(cap);
+    slots_ = std::allocator<T>().allocate(cap);
     mask_ = cap - 1;
+  }
+
+  ~SpscRing() {
+    const std::size_t tail = tail_.load(std::memory_order_relaxed);
+    for (std::size_t i = head_.load(std::memory_order_relaxed); i != tail;
+         ++i) {
+      std::destroy_at(&slots_[i & mask_]);
+    }
+    std::allocator<T>().deallocate(slots_, capacity());
   }
 
   SpscRing(const SpscRing&) = delete;
@@ -50,7 +65,7 @@ class SpscRing {
         return false;
       }
     }
-    slots_[tail & mask_] = std::move(v);
+    ::new (static_cast<void*>(&slots_[tail & mask_])) T(std::move(v));
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -64,7 +79,9 @@ class SpscRing {
         return false;
       }
     }
-    out = std::move(slots_[head & mask_]);
+    T& slot = slots_[head & mask_];
+    out = std::move(slot);
+    std::destroy_at(&slot);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -83,7 +100,9 @@ class SpscRing {
     }
     const std::size_t n = std::min(tail_cache_ - head, max);
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = std::move(slots_[(head + i) & mask_]);
+      T& slot = slots_[(head + i) & mask_];
+      out[i] = std::move(slot);
+      std::destroy_at(&slot);
     }
     head_.store(head + n, std::memory_order_release);
     return n;
@@ -100,7 +119,7 @@ class SpscRing {
   bool empty() const { return size() == 0; }
 
  private:
-  std::vector<T> slots_;
+  T* slots_ = nullptr;  ///< capacity() slots; only [head, tail) are alive
   std::size_t mask_ = 0;
 
   // Producer-owned line: tail index + cached view of head.

@@ -9,11 +9,14 @@
 // heap; as the cursor advances, heap entries whose tick has come within
 // the horizon cascade into the wheel.
 //
-// Buckets are flat vectors that retain capacity across laps: inserts into
-// a dense bucket append contiguously (mod_timer-style reset churn lands
-// whole cancel/re-arm batches in one bucket), and draining is a single
-// sequential copy the hardware prefetcher streams — unlike a linked
-// node-slab, whose drain is a serial dependent-load chain.
+// Buckets are flat vectors: inserts into a dense bucket append
+// contiguously (mod_timer-style reset churn lands whole cancel/re-arm
+// batches in one bucket), and draining is a single sequential copy the
+// hardware prefetcher streams — unlike a linked node-slab, whose drain is
+// a serial dependent-load chain. A drained bucket's storage goes to a
+// spare list, and an insert into an empty bucket takes it from there, so
+// the wheel holds one storage per simultaneously occupied bucket rather
+// than one per bucket ever used, and the steady state never allocates.
 //
 // Exactness: buckets hold full-precision (when, seq) keys — quantization
 // only decides *where* an entry is stored, never *when* it fires. The
@@ -96,7 +99,12 @@ class WheelTier {
     assert(tick >= cursor_ && covers(tick));
     ensure_init();
     const std::size_t s = tick & kMask;
-    buckets_[s].push_back(e);  // hotpath-ok: capacity retained across laps
+    std::vector<QueueEntry>& b = buckets_[s];
+    if (b.capacity() == 0 && !spare_.empty()) {
+      b = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    b.push_back(e);  // hotpath-ok: spare storage is recycled
     words_[s >> 6] |= std::uint64_t{1} << (s & 63);
     ++count_;
   }
@@ -118,16 +126,15 @@ class WheelTier {
     }
   }
 
-  /// Append the bucket's entries to `out` and empty it, retaining its
-  /// capacity so the steady state never re-allocates. Returns entry count.
+  /// Append the bucket's entries to `out` and empty it; its storage goes
+  /// to the spare list. Returns entry count.
   std::size_t take_bucket(std::uint64_t tick, std::vector<QueueEntry>& out) {
     assert(covers(tick));
     const std::size_t s = tick & kMask;
     std::vector<QueueEntry>& b = buckets_[s];
     const std::size_t n = b.size();
     out.insert(out.end(), b.begin(), b.end());  // hotpath-ok: capacity kept
-    b.clear();
-    clear_bit(s);
+    release(s);
     count_ -= n;
     return n;
   }
@@ -136,8 +143,7 @@ class WheelTier {
   void clear_bucket(std::uint64_t tick) {
     const std::size_t s = tick & kMask;
     count_ -= buckets_[s].size();
-    buckets_[s].clear();
-    clear_bit(s);
+    release(s);
   }
 
   /// Earliest occupied tick at or after the cursor; nullopt when empty.
@@ -176,7 +182,20 @@ class WheelTier {
       words_.assign(kWords, 0);
     }
   }
-  void clear_bit(std::size_t s) {
+  /// Empty bucket `s`, park its storage on the spare list and clear its bit.
+  void release(std::size_t s) {
+    std::vector<QueueEntry>& b = buckets_[s];
+    b.clear();
+    if (b.capacity() != 0) {
+      if (spare_.capacity() == 0) {
+        // A storage lives in a bucket or on this list, and one is made
+        // only when the list is empty, so there are at most kSlots. Sized
+        // at the first drain rather than at init, so building a scheduler
+        // stays cheap.
+        spare_.reserve(kSlots);
+      }
+      spare_.push_back(std::move(b));
+    }
     words_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
   }
 
@@ -184,6 +203,7 @@ class WheelTier {
   std::uint64_t cursor_ = 0;  ///< ticks < cursor_ are in the past
   std::size_t count_ = 0;
   std::vector<std::vector<QueueEntry>> buckets_;  ///< lazily sized to kSlots
+  std::vector<std::vector<QueueEntry>> spare_;  ///< drained buckets' storage
   std::vector<std::uint64_t> words_;  ///< bit set ⟺ bucket nonempty
 };
 

@@ -6,15 +6,17 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "analysis/optimizer.hpp"
 #include "apps/fast_reroute.hpp"
 #include "apps/microburst.hpp"
 #include "core/aggregated_register.hpp"
-#include "net/packet.hpp"
 #include "runtime/parallel_runtime.hpp"
+#include "sim/heap_count.hpp"
 #include "topo/routing.hpp"
 
 namespace edp::workload {
@@ -202,7 +204,7 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
 
   // Run to the horizon in chunks. The first chunk is the warmup window:
   // pools, rings and scheduler slots reach their high-water capacity there,
-  // so the allocation gauge measures the steady-state replay loop.
+  // so the heap-allocation gauge measures the steady-state replay loop.
   const sim::Time warmup =
       std::min(options.chunk, sim::Time(horizon.ps() / 10));
   const auto wall0 = std::chrono::steady_clock::now();
@@ -215,7 +217,7 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
   }
   rt.run_until(std::min(warmup, horizon));
   const std::uint64_t warm_events = rt.total_executed();
-  const std::uint64_t warm_allocs = net::packet_buffer_pool_stats().allocated;
+  const std::optional<std::uint64_t> warm_allocs = sim::heap_allocations();
   for (sim::Time t = warmup; t < horizon;) {
     t = std::min(horizon, t + chunk);
     rt.run_until(t);
@@ -230,6 +232,7 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
     }
   }
   const auto wall1 = std::chrono::steady_clock::now();
+  const std::optional<std::uint64_t> end_allocs = sim::heap_allocations();
 
   ScenarioOutcome out;
   out.app = app.name;
@@ -242,12 +245,13 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
   out.wall_seconds =
       std::chrono::duration<double>(wall1 - wall0).count();
   const std::uint64_t steady_events = out.events - warm_events;
-  out.allocations_per_event =
-      steady_events == 0
-          ? 0.0
-          : static_cast<double>(net::packet_buffer_pool_stats().allocated -
-                                warm_allocs) /
-                static_cast<double>(steady_events);
+  if (!warm_allocs || !end_allocs) {
+    out.allocations_per_event = std::numeric_limits<double>::quiet_NaN();
+  } else if (steady_events > 0) {
+    out.allocations_per_event =
+        static_cast<double>(*end_allocs - *warm_allocs) /
+        static_cast<double>(steady_events);
+  }
 
   std::uint64_t h = 1469598103934665603ULL;
   for (const auto& src : sources) {

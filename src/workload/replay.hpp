@@ -64,8 +64,11 @@ struct ScenarioOutcome {
   std::uint64_t cross_shard_messages = 0;
   double sim_seconds = 0;
   double wall_seconds = 0;
-  /// Packet-buffer pool growth per event after the warmup chunk — the
-  /// replay loop's allocation gauge (0 at steady state).
+  /// Heap allocations (global operator new, every thread) per event after
+  /// the warmup chunk — the replay loop's allocation gauge. What remains in
+  /// a steady state is the packet pool's one-time growth to the run's
+  /// in-flight peak. NaN unless the process links the heap counter
+  /// (sim/heap_count.hpp), so a gate can never pass on a missing counter.
   double allocations_per_event = 0;
 
   // ---- optimizer differential observables (ReplayOptions::optimize) ------
@@ -92,6 +95,13 @@ struct ScenarioOutcome {
   /// match exactly between naive and optimized replays.
   std::uint64_t app_state_digest = 0;
 };
+
+/// The steady-state allocation gate shared by the tests, bench_scenario and
+/// `edp_scen storm`: at most 1e-3 heap allocations per event after warm-up
+/// (about 0.01 per packet). False on NaN, i.e. when no counter is linked.
+inline bool steady_state_allocation_free(const ScenarioOutcome& o) {
+  return o.allocations_per_event <= 1e-3;
+}
 
 /// Replay `spec` against registered program `app`. The app factory builds a
 /// fresh program instance for the DUT; edges run EdgeProgram routers.

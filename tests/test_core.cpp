@@ -13,6 +13,8 @@
 #include "core/shared_register.hpp"
 #include "core/timer_wheel.hpp"
 #include "net/packet_builder.hpp"
+#include "pisa/deparser.hpp"
+#include "pisa/parser.hpp"
 
 namespace edp::core {
 namespace {
@@ -1101,6 +1103,139 @@ TEST(EventSwitch, MulticastReplicatesToGroupMembers) {
   EXPECT_EQ(sw.counters()
                 .observed[static_cast<std::size_t>(EventKind::kEnqueue)],
             3u);
+}
+
+// ---- one buffer per packet --------------------------------------------------
+
+TEST(EventSwitch, UnchangedLayoutLeavesInTheArrivalBuffer) {
+  // A packet whose header layout no stage changes crosses ingress, the
+  // traffic manager and the egress pipeline in the buffer it arrived in:
+  // every deparse re-encodes the headers over that buffer.
+  sim::Scheduler sched;
+  EventSwitchConfig cfg = switch_cfg();
+  cfg.egress_pipeline = true;
+  EventSwitch sw(sched, cfg);
+  class Rewriter : public EventProgram {
+   public:
+    void on_ingress(pisa::Phv& phv, EventContext&) override {
+      phv.std_meta.egress_port = 1;
+      phv.ipv4->ecn = 3;
+    }
+    void on_egress(pisa::Phv& phv, EventContext&) override {
+      phv.ipv4->ttl = static_cast<std::uint8_t>(phv.ipv4->ttl - 1);
+    }
+  } prog;
+  sw.set_program(&prog);
+  const std::uint8_t* sent_from = nullptr;
+  std::vector<net::Packet> out;
+  sw.connect_tx(1, [&](net::Packet p) {
+    sent_from = p.bytes().data();
+    out.push_back(std::move(p));
+  });
+
+  net::Packet in = test_packet();
+  const std::uint8_t* arrived_in = in.bytes().data();
+  sw.receive(0, std::move(in));
+  sched.run(10'000);
+
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(sent_from, arrived_in);
+  const auto ip = net::Ipv4Header::decode(out[0], net::EthernetHeader::kSize);
+  EXPECT_EQ(ip.ecn, 3);
+  EXPECT_TRUE(ip.checksum_ok());
+}
+
+/// Rewrites a program applies at the three single-output deparse sites:
+/// ingress (then recirculate), the recirculation pass (then unicast to port
+/// 1), and the egress pipeline.
+struct SiteRewrites {
+  const char* name;
+  void (*ingress)(pisa::Phv&);
+  void (*recirculate)(pisa::Phv&);
+  void (*egress)(pisa::Phv&);
+};
+
+/// What the switch must transmit: the same rewrites applied between
+/// copying deparses, one per site.
+net::Packet expected_wire(const net::Packet& in, const SiteRewrites& r) {
+  const pisa::Parser parser = pisa::Parser::standard();
+  const pisa::Deparser deparser;
+  net::Packet p(in);
+  for (auto* rewrite : {r.ingress, r.recirculate, r.egress}) {
+    pisa::Phv phv = parser.parse(std::move(p));
+    rewrite(phv);
+    p = deparser.deparse(phv);
+  }
+  return p;
+}
+
+TEST(EventSwitch, DeparseSitesEmitWhatTheCopyingDeparserDoes) {
+  const SiteRewrites cases[] = {
+      {"ecn-ttl",
+       [](pisa::Phv& phv) { phv.ipv4->ttl = 9; },
+       [](pisa::Phv& phv) { phv.ipv4->ecn = 3; },
+       [](pisa::Phv& phv) {
+         phv.ipv4->ttl = static_cast<std::uint8_t>(phv.ipv4->ttl - 1);
+       }},
+      {"vlan-push-then-pop",
+       [](pisa::Phv& phv) {
+         net::VlanHeader tag;
+         tag.vid = 12;
+         tag.ether_type = phv.eth->ether_type;
+         phv.vlan = tag;
+       },
+       [](pisa::Phv& phv) { phv.vlan->pcp = 5; },
+       [](pisa::Phv& phv) {
+         phv.eth->ether_type = phv.vlan->ether_type;
+         phv.vlan.reset();
+       }},
+      {"ndp-trim-at-egress",
+       [](pisa::Phv&) {},
+       [](pisa::Phv& phv) { phv.ipv4->dscp = 10; },
+       [](pisa::Phv& phv) {
+         phv.payload_offset = phv.packet.size();
+         phv.ipv4->ecn = 3;
+       }},
+  };
+  for (const SiteRewrites& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::Scheduler sched;
+    EventSwitchConfig cfg = switch_cfg();
+    cfg.egress_pipeline = true;
+    EventSwitch sw(sched, cfg);
+    class SiteProgram : public EventProgram {
+     public:
+      explicit SiteProgram(const SiteRewrites& r) : r_(r) {}
+      void on_ingress(pisa::Phv& phv, EventContext&) override {
+        r_.ingress(phv);
+        phv.std_meta.recirculate = true;
+      }
+      void on_recirculate(pisa::Phv& phv, EventContext&) override {
+        r_.recirculate(phv);
+        phv.std_meta.egress_port = 1;
+      }
+      void on_egress(pisa::Phv& phv, EventContext&) override {
+        r_.egress(phv);
+      }
+
+     private:
+      const SiteRewrites& r_;
+    } prog(c);
+    sw.set_program(&prog);
+    std::vector<net::Packet> out;
+    sw.connect_tx(1, [&](net::Packet p) { out.push_back(std::move(p)); });
+
+    const net::Packet in = test_packet(300);
+    sw.receive(0, net::Packet(in));
+    sched.run(10'000);
+
+    ASSERT_EQ(out.size(), 1u);
+    const net::Packet want = expected_wire(in, c);
+    ASSERT_EQ(out[0].size(), want.size());
+    EXPECT_TRUE(std::equal(out[0].bytes().begin(), out[0].bytes().end(),
+                           want.bytes().begin()));
+    EXPECT_EQ(sw.counters().recirculated, 1u);
+  }
 }
 
 TEST(EventSwitch, MulticastUnknownGroupDrops) {

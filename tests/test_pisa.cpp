@@ -122,18 +122,9 @@ TEST(Parser, CustomStateCanBeAdded) {
   EXPECT_TRUE(custom_hit);
 }
 
-TEST(Parser, FastPathMatchesGeneric) {
-  // The compiled parse_standard() fast path must be observationally
-  // identical to the generic name-dispatched walk of the standard() graph.
-  // Re-registering any state drops a parser to the generic dispatcher, so
-  // build the generic twin by re-adding a verbatim "start" state, then run
-  // both parsers over one packet of every shape the graph distinguishes.
-  const Parser fast = Parser::standard();
-  Parser generic = Parser::standard();
-  generic.add_state("start", [](Phv&, std::size_t off) {
-    return ParseStep{"ethernet", off};
-  });
-
+/// One packet of every shape the standard parse graph distinguishes,
+/// including the truncated ones it rejects.
+std::vector<net::Packet> shape_corpus() {
   const auto mac = [](std::uint64_t v) { return MacAddress::from_u64(v); };
   std::vector<net::Packet> corpus;
   corpus.push_back(udp_packet());  // plain UDP
@@ -212,6 +203,22 @@ TEST(Parser, FastPathMatchesGeneric) {
                         .build();
     corpus.push_back(std::move(q));
   }
+  return corpus;
+}
+
+TEST(Parser, FastPathMatchesGeneric) {
+  // The compiled parse_standard() fast path must be observationally
+  // identical to the generic name-dispatched walk of the standard() graph.
+  // Re-registering any state drops a parser to the generic dispatcher, so
+  // build the generic twin by re-adding a verbatim "start" state, then run
+  // both parsers over one packet of every shape the graph distinguishes.
+  const Parser fast = Parser::standard();
+  Parser generic = Parser::standard();
+  generic.add_state("start", [](Phv&, std::size_t off) {
+    return ParseStep{"ethernet", off};
+  });
+
+  const std::vector<net::Packet> corpus = shape_corpus();
 
   const Deparser deparser;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
@@ -276,6 +283,105 @@ TEST(Deparser, HeaderInvalidationRemovesBytes) {
   phv.udp.reset();  // drop the UDP header (decap-style)
   const net::Packet out = Deparser().deparse(phv);
   EXPECT_EQ(out.size(), 200u - net::UdpHeader::kSize);
+}
+
+/// Header validity plus payload offset: what decides whether a PHV still
+/// fits the buffer it was parsed from.
+std::vector<std::size_t> layout_of(const Phv& phv) {
+  return {phv.eth.has_value(),  phv.vlan.has_value(),
+          phv.ipv4.has_value(), phv.tcp.has_value(),
+          phv.udp.has_value(),  phv.hula.has_value(),
+          phv.liveness.has_value(), phv.kv.has_value(),
+          phv.int_report.has_value(), phv.payload_offset};
+}
+
+TEST(Deparser, InPlaceEmitMatchesCopyingDeparse) {
+  // The consuming deparse must emit exactly what the copying one does —
+  // bytes and intrinsic metadata — over every packet shape and the header
+  // rewrites programs make: field rewrites keep the layout (in place),
+  // validity flips and an ndp-trim truncation change it (copy fallback).
+  struct Rewrite {
+    const char* name;
+    void (*apply)(Phv&);
+  };
+  const Rewrite rewrites[] = {
+      {"none", [](Phv&) {}},
+      {"ecn-ttl-dscp",
+       [](Phv& phv) {
+         if (phv.ipv4) {
+           phv.ipv4->ecn = 3;
+           phv.ipv4->ttl = static_cast<std::uint8_t>(phv.ipv4->ttl - 1);
+           phv.ipv4->dscp = 0x2e;
+         }
+       }},
+      {"udp-ports-and-macs",
+       [](Phv& phv) {
+         if (phv.udp) {
+           phv.udp->dst_port = 4242;
+         }
+         if (phv.eth) {
+           std::swap(phv.eth->src, phv.eth->dst);
+         }
+       }},
+      {"vlan-flip",
+       [](Phv& phv) {
+         if (phv.vlan) {
+           phv.eth->ether_type = phv.vlan->ether_type;
+           phv.vlan.reset();
+         } else if (phv.eth) {
+           net::VlanHeader tag;
+           tag.vid = 7;
+           tag.ether_type = phv.eth->ether_type;
+           phv.vlan = tag;
+         }
+       }},
+      {"ndp-trim",
+       [](Phv& phv) {
+         phv.payload_offset = phv.packet.size();
+         if (phv.ipv4) {
+           phv.ipv4->ecn = 3;
+         }
+       }},
+  };
+
+  const Parser parser = Parser::standard();
+  const Deparser deparser;
+  const std::vector<net::Packet> corpus = shape_corpus();
+  std::size_t in_place = 0, fallback = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    for (const Rewrite& rw : rewrites) {
+      SCOPED_TRACE("corpus packet " + std::to_string(i) + ", " + rw.name);
+      net::Packet input(corpus[i]);
+      input.meta().arrival = sim::Time::nanos(17);
+      input.meta().ingress_port = 3;
+      input.meta().trace_id = 99;
+      input.meta().recirc_count = 1;
+      Phv phv = parser.parse(std::move(input));
+      if (phv.parse_error) {
+        continue;  // the switch drops these before any deparse
+      }
+      const std::vector<std::size_t> parsed_layout = layout_of(phv);
+      rw.apply(phv);
+      const bool layout_kept = layout_of(phv) == parsed_layout;
+
+      const net::Packet expected = deparser.deparse(phv);
+      const std::uint8_t* buffer = phv.packet.bytes().data();
+      const net::Packet actual = deparser.deparse(std::move(phv));
+
+      ASSERT_EQ(actual.size(), expected.size());
+      EXPECT_TRUE(std::equal(actual.bytes().begin(), actual.bytes().end(),
+                             expected.bytes().begin()));
+      EXPECT_EQ(actual.meta().arrival, expected.meta().arrival);
+      EXPECT_EQ(actual.meta().ingress_port, expected.meta().ingress_port);
+      EXPECT_EQ(actual.meta().trace_id, expected.meta().trace_id);
+      EXPECT_EQ(actual.meta().recirc_count, expected.meta().recirc_count);
+      // In place means the very buffer the packet was parsed into.
+      EXPECT_EQ(actual.bytes().data() == buffer, layout_kept);
+      ++(layout_kept ? in_place : fallback);
+    }
+  }
+  EXPECT_GT(in_place, 0u);
+  EXPECT_GT(fallback, 0u);
 }
 
 // ---- tables -------------------------------------------------------------------

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "sim/heap_count.hpp"
 #include "sim/inline_callback.hpp"
 #include "sim/object_pool.hpp"
 #include "sim/random.hpp"
@@ -635,6 +638,64 @@ TEST(WheelTier, BucketIsolationAcrossLaps) {
   EXPECT_TRUE(w.covers(100));
   EXPECT_TRUE(w.covers(100 + WheelTier::kSlots - 1));
   EXPECT_FALSE(w.covers(100 + WheelTier::kSlots));
+}
+
+TEST(WheelTier, SteadyScheduleFireLapsDoNotAllocate) {
+  // Packet-like traffic: every tick a pump event schedules a burst of 1..8
+  // events a fixed 32 ticks ahead (in-flight packets), so a sliding window
+  // of buckets is occupied while the cursor sweeps the whole wheel. After
+  // one warm lap the drained buckets' recycled storage serves every
+  // insert, whatever burst size lands where.
+  Scheduler sched;
+  const Time tick = Time::picos(std::int64_t{1} << WheelTier::kDefaultResBits);
+  const Time lap = tick * static_cast<std::int64_t>(WheelTier::kSlots);
+  std::uint64_t fired = 0;
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  struct Pump {
+    Scheduler* sched;
+    Time tick;
+    std::uint64_t* fired;
+    std::uint64_t* state;
+    void operator()() const {
+      *state = *state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::uint64_t burst = 1 + ((*state >> 33) & 7);
+      for (std::uint64_t i = 0; i < burst; ++i) {
+        const Time jitter = Time::picos(static_cast<std::int64_t>(i * 977));
+        sched->after(tick * 32 + jitter, [f = fired] { ++*f; });
+      }
+      sched->after(tick, *this);
+    }
+  };
+  sched.after(tick, Pump{&sched, tick, &fired, &state});
+
+  sched.run_until(lap);  // warm lap
+  const std::optional<std::uint64_t> before = heap_allocations();
+  ASSERT_TRUE(before.has_value()) << "test binary must link edp_heap_counter";
+  const std::uint64_t fired_before = fired;
+  sched.run_until(lap * 4);
+  const std::optional<std::uint64_t> after = heap_allocations();
+  EXPECT_GT(fired - fired_before, 3 * WheelTier::kSlots);
+  EXPECT_EQ(*after - *before, 0u);
+}
+
+// ---- heap counter --------------------------------------------------------------
+
+TEST(HeapCount, CountsEveryOperatorNewOnEveryThread) {
+  const std::optional<std::uint64_t> before = heap_allocations();
+  ASSERT_TRUE(before.has_value()) << "test binary must link edp_heap_counter";
+  void* p = ::operator new(64);
+  const std::optional<std::uint64_t> after_one = heap_allocations();
+  ::operator delete(p);
+  EXPECT_EQ(*after_one - *before, 1u);
+
+  // A thread-local count would miss these: the count is process-wide.
+  std::thread worker([] {
+    for (int i = 0; i < 3; ++i) {
+      ::operator delete(::operator new(32));
+    }
+  });
+  worker.join();
+  EXPECT_GE(*heap_allocations() - *after_one, 3u);
 }
 
 // ---- InlineCallback -----------------------------------------------------------
