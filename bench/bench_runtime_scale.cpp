@@ -33,14 +33,16 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common.hpp"
-#include "net/packet.hpp"
 #include "runtime/parallel_runtime.hpp"
+#include "sim/heap_count.hpp"
 #include "topo/routing.hpp"
 #include "topo/spec.hpp"
 #include "topo/traffic_gen.hpp"
@@ -162,7 +164,7 @@ struct Result {
   std::uint64_t windows = 0;       ///< synchronization rounds (whole run)
   double cut_fraction = 0;         ///< cut links / total links in the plan
   std::uint64_t digest = 0;
-  double allocations_per_event = 0;  ///< packet-buffer pool misses / event
+  double allocations_per_event = 0;  ///< heap allocations (all threads) / event
 };
 
 Result run(std::size_t workers) {
@@ -198,14 +200,12 @@ Result run(std::size_t workers) {
   // (see ParallelRuntime.RepeatedRunUntilMatchesSingleRun).
   rt.run_until(kWarmSpan);
   const std::uint64_t warm_events = rt.total_executed();
-  const std::uint64_t allocs_before =
-      net::packet_buffer_pool_stats().allocated;
+  const std::optional<std::uint64_t> allocs_before = sim::heap_allocations();
 
   const auto t0 = std::chrono::steady_clock::now();
   rt.run_until(kSpan);
   const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs_after =
-      net::packet_buffer_pool_stats().allocated;
+  const std::optional<std::uint64_t> allocs_after = sim::heap_allocations();
 
   Result r;
   r.workers = workers;
@@ -217,8 +217,12 @@ Result run(std::size_t workers) {
   r.ring_drained = rt.ring_drained();
   r.windows = rt.windows();
   r.cut_fraction = rt.plan().cut_fraction;
-  r.allocations_per_event = static_cast<double>(allocs_after - allocs_before) /
-                            static_cast<double>(r.events);
+  // NaN without a linked heap counter (the harness links one).
+  r.allocations_per_event =
+      allocs_before && allocs_after
+          ? static_cast<double>(*allocs_after - *allocs_before) /
+                static_cast<double>(r.events)
+          : std::numeric_limits<double>::quiet_NaN();
   std::uint64_t h = 1469598103934665603ULL;
   for (std::size_t i = 0; i < spec.num_switches(); ++i) {
     const auto& c = rt.sw(i).counters();

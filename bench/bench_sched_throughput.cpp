@@ -27,18 +27,21 @@
 // The mixed_seq result is compared against the recorded pre-PR baseline
 // (measured on this repo at the PR-1 head with identical Release flags and
 // workload); the harness exits nonzero when the required speedup or the
-// steady-state zero-allocation property is violated, so the win stays
-// measured, not asserted. Build in Release (scripts/check.sh does).
+// steady-state zero-allocation property (heap allocations per event over
+// each timed phase, counted by the linked edp_heap_counter) is violated,
+// so the win stays measured, not asserted. Build in Release
+// (scripts/check.sh does).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
-#include "net/packet.hpp"
 #include "runtime/parallel_runtime.hpp"
+#include "sim/heap_count.hpp"
 #include "sim/scheduler.hpp"
 #include "topo/routing.hpp"
 #include "topo/spec.hpp"
@@ -60,9 +63,10 @@ constexpr double kRequiredMixedSpeedup = 2.5;
 // recorded baseline): the wheel tier must make dense periodic timers at
 // least this much faster than 4-ary-heap scheduling of the same workload.
 constexpr double kRequiredStormSpeedup = 3.0;
-// Steady-state allocator traffic tolerance on the mixed workload: the pools
-// may still grow marginally as the high-water mark creeps (a handful of
-// buffers over half a million events), but per-event allocation is gone.
+// Steady-state heap traffic tolerance over every timed phase (global
+// operator new, all threads): pools and queues may still grow marginally
+// as their high-water marks creep (a handful of allocations over half a
+// million events), but per-event allocation is gone.
 constexpr double kMaxAllocsPerEvent = 0.01;
 
 struct WorkloadResult {
@@ -78,6 +82,21 @@ double secs_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Heap allocations so far. The harness links edp_heap_counter, so a
+/// missing counter means a broken build, not a zero.
+std::uint64_t heap_now() {
+  const std::optional<std::uint64_t> n = sim::heap_allocations();
+  if (!n) {
+    std::fprintf(stderr, "FAIL: no heap counter linked\n");
+    std::exit(1);
+  }
+  return *n;
+}
+
+double per_event(std::uint64_t allocs, std::uint64_t events) {
+  return static_cast<double>(allocs) / static_cast<double>(events);
+}
+
 WorkloadResult bench_schedule_fire() {
   sim::Scheduler sched;
   constexpr std::size_t kBatch = 4096;
@@ -90,6 +109,7 @@ WorkloadResult bench_schedule_fire() {
   }
   sched.run();
 
+  const std::uint64_t allocs_before = heap_now();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < kRounds; ++r) {
     for (std::size_t i = 0; i < kBatch; ++i) {
@@ -99,12 +119,14 @@ WorkloadResult bench_schedule_fire() {
     sched.run();
   }
   const double wall = secs_since(t0);
+  const std::uint64_t allocs = heap_now() - allocs_before;
 
   WorkloadResult r;
   r.name = "schedule_fire";
   r.events = kBatch * kRounds;
   r.wall_ms = wall * 1e3;
   r.events_per_sec = static_cast<double>(r.events) / wall;
+  r.allocations_per_event = per_event(allocs, r.events);
   return r;
 }
 
@@ -114,9 +136,7 @@ WorkloadResult bench_schedule_cancel() {
   constexpr std::size_t kRounds = 512;
   std::vector<sim::EventId> ids(kBatch);
   std::uint64_t count = 0;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < kRounds; ++r) {
+  const auto round = [&] {
     for (std::size_t i = 0; i < kBatch; ++i) {
       ids[i] = sched.after(sim::Time::nanos(static_cast<std::int64_t>(i) + 1),
                            [&count] { ++count; });
@@ -125,14 +145,23 @@ WorkloadResult bench_schedule_cancel() {
       sched.cancel(ids[i]);
     }
     sched.run();  // collects the lazily-discarded heap entries
+  };
+  round();  // warm: vectors reach steady-state capacity
+
+  const std::uint64_t allocs_before = heap_now();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    round();
   }
   const double wall = secs_since(t0);
+  const std::uint64_t allocs = heap_now() - allocs_before;
 
   WorkloadResult r;
   r.name = "schedule_cancel";
   r.events = kBatch * kRounds;
   r.wall_ms = wall * 1e3;
   r.events_per_sec = static_cast<double>(r.events) / wall;
+  r.allocations_per_event = per_event(allocs, r.events);
   if (count != 0) {
     std::fprintf(stderr, "FAIL: cancelled callback fired\n");
     std::exit(1);
@@ -173,50 +202,46 @@ WorkloadResult bench_timer_storm_mode(bool use_wheel) {
   constexpr auto kStormWarm = sim::Time::millis(2);
   constexpr auto kStormSpan = sim::Time::millis(20);
   // The rate-based apps' period classes (policer refill, liveness check,
-  // AQM sample/update). 100 µs re-arms stay inside the wheel horizon
-  // (~268 µs); the other two classes overflow to the heap and cascade back
-  // in, so the storm exercises both tiers.
+  // AQM sample/update). All three re-arm inside the wheel horizon
+  // (~2.1 ms), so with the wheel on the storm never touches the heap tier;
+  // the heap-only run sifts every one of them.
   static constexpr std::int64_t kPeriodsUs[3] = {100, 500, 1000};
 
-  const sim::SchedulerOptions saved = sim::Scheduler::default_options();
-  sim::Scheduler::set_default_options(
-      sim::SchedulerOptions{use_wheel, sim::WheelTier::kDefaultResBits});
-  WorkloadResult r;
-  {
-    sim::Scheduler sched;
-    std::vector<StormTimer> timers(kTimers);
-    std::vector<sim::EventId> watchdog_ids(
-        StormTimer::kWatchdogs * (kTimers / 3 + 1), 0);
-    for (std::size_t i = 0; i < kTimers; ++i) {
-      timers[i].sched = &sched;
-      timers[i].period = sim::Time::micros(kPeriodsUs[i % 3]);
-      if (i % 3 == 0) {
-        // Policer class: each refill batch resets this block of watchdogs.
-        timers[i].watchdogs =
-            &watchdog_ids[StormTimer::kWatchdogs * (i / 3)];
-        timers[i].watchdog_period = sim::Time::micros(500);
-      }
-      // Deterministic phase stagger so expirations arrive as dense bursts
-      // across many ticks, not one synchronized spike per period.
-      const sim::Time phase(static_cast<std::int64_t>((i * 977) % 100000) *
-                            1000);
-      StormTimer* t = &timers[i];
-      sched.at(timers[i].period + phase, [t] { t->fire(); });
+  sim::Scheduler sched{sim::SchedulerOptions{use_wheel}};
+  std::vector<StormTimer> timers(kTimers);
+  std::vector<sim::EventId> watchdog_ids(
+      StormTimer::kWatchdogs * (kTimers / 3 + 1), 0);
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    timers[i].sched = &sched;
+    timers[i].period = sim::Time::micros(kPeriodsUs[i % 3]);
+    if (i % 3 == 0) {
+      // Policer class: each refill batch resets this block of watchdogs.
+      timers[i].watchdogs =
+          &watchdog_ids[StormTimer::kWatchdogs * (i / 3)];
+      timers[i].watchdog_period = sim::Time::micros(500);
     }
-    sched.run_until(kStormWarm);
-    const std::uint64_t warm_events = sched.executed();
-
-    const auto t0 = std::chrono::steady_clock::now();
-    sched.run_until(kStormSpan);
-    const double wall = secs_since(t0);
-
-    r.name = use_wheel ? "timer_storm" : "timer_storm_heap";
-    r.events = sched.executed() - warm_events;
-    r.wall_ms = wall * 1e3;
-    r.events_per_sec = static_cast<double>(r.events) / wall;
-    r.allocations_per_event = 0;  // no packets in flight; pools untouched
+    // Deterministic phase stagger so expirations arrive as dense bursts
+    // across many ticks, not one synchronized spike per period.
+    const sim::Time phase(static_cast<std::int64_t>((i * 977) % 100000) *
+                          1000);
+    StormTimer* t = &timers[i];
+    sched.at(timers[i].period + phase, [t] { t->fire(); });
   }
-  sim::Scheduler::set_default_options(saved);
+  sched.run_until(kStormWarm);
+  const std::uint64_t warm_events = sched.executed();
+
+  const std::uint64_t allocs_before = heap_now();
+  const auto t0 = std::chrono::steady_clock::now();
+  sched.run_until(kStormSpan);
+  const double wall = secs_since(t0);
+  const std::uint64_t allocs = heap_now() - allocs_before;
+
+  WorkloadResult r;
+  r.name = use_wheel ? "timer_storm" : "timer_storm_heap";
+  r.events = sched.executed() - warm_events;
+  r.wall_ms = wall * 1e3;
+  r.events_per_sec = static_cast<double>(r.events) / wall;
+  r.allocations_per_event = per_event(allocs, r.events);
   return r;
 }
 
@@ -330,12 +355,12 @@ WorkloadResult bench_mixed(std::size_t shards) {
   // so the measurement reflects steady state, not cold-start allocation.
   rt.run_until(kWarmSpan);
   const std::uint64_t warm_events = rt.total_executed();
-  const std::uint64_t allocs_before = net::packet_buffer_pool_stats().allocated;
+  const std::uint64_t allocs_before = heap_now();
 
   const auto t0 = std::chrono::steady_clock::now();
   rt.run_until(kSpan);
   const double wall = secs_since(t0);
-  const std::uint64_t allocs_after = net::packet_buffer_pool_stats().allocated;
+  const std::uint64_t allocs = heap_now() - allocs_before;
 
   WorkloadResult r;
   r.name = shards == 1 ? "mixed_seq" : ("mixed_" + std::to_string(shards) +
@@ -343,11 +368,7 @@ WorkloadResult bench_mixed(std::size_t shards) {
   r.events = rt.total_executed() - warm_events;
   r.wall_ms = wall * 1e3;
   r.events_per_sec = static_cast<double>(r.events) / wall;
-  // Buffer-pool misses during the timed phase, per event: the steady-state
-  // allocation rate the pool statistics hook exposes.
-  r.allocations_per_event =
-      static_cast<double>(allocs_after - allocs_before) /
-      static_cast<double>(r.events);
+  r.allocations_per_event = per_event(allocs, r.events);
   return r;
 }
 
@@ -452,8 +473,8 @@ int main(int argc, char** argv) {
   for (const auto& r : results) {
     if (r.allocations_per_event > kMaxAllocsPerEvent) {
       std::fprintf(stderr,
-                   "FAIL: %s allocates %.4f buffers/event in steady state "
-                   "(max %.2f)\n",
+                   "FAIL: %s makes %.4f heap allocations/event in steady "
+                   "state (max %.2f)\n",
                    r.name.c_str(), r.allocations_per_event,
                    kMaxAllocsPerEvent);
       ok = false;

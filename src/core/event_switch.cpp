@@ -104,7 +104,7 @@ EventSwitch::EventSwitch(sim::Scheduler& sched, EventSwitchConfig config)
   // Timer expirations arrive coalesced: one burst per timer-block wake,
   // handed to the merger with a single submit_events call (one slot pump)
   // instead of a merger round-trip per timer.
-  timers_.on_expire_batch = [this](const TimerEventData* d, std::size_t n) {
+  timers_.on_expire = [this](const TimerEventData* d, std::size_t n) {
     timer_burst_.clear();
     const bool deliver = deliver_[static_cast<std::size_t>(EventKind::kTimer)];
     for (std::size_t i = 0; i < n; ++i) {

@@ -206,18 +206,13 @@ void TimerBlock::wake() {
     } else {
       timers_.erase(it);
     }
-    if (on_expire_batch) {
-      delivery_scratch_.push_back(data);
-    } else if (on_expire) {
-      on_expire(data);
-    }
+    delivery_scratch_.push_back(data);
   }
   // Coalesced hand-off: same-wake expirations reach the consumer as one
   // burst (one merger submit_events call on the switch) instead of one
-  // delivery per timer. Records and their order are exactly what the
-  // per-entry path produces — the regression tests pin this down.
-  if (on_expire_batch && !delivery_scratch_.empty()) {
-    on_expire_batch(delivery_scratch_.data(), delivery_scratch_.size());
+  // delivery per timer.
+  if (on_expire && !delivery_scratch_.empty()) {
+    on_expire(delivery_scratch_.data(), delivery_scratch_.size());
   }
   arm();
 }

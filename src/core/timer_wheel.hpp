@@ -86,16 +86,13 @@ class TimerBlock {
  public:
   TimerBlock(sim::Scheduler& sched, sim::Time resolution);
 
-  /// Fired for every expiration (periodic timers re-arm automatically).
-  std::function<void(const TimerEventData&)> on_expire;  // hotpath-ok: installed once
-
-  /// Batched alternative: one call per wake carrying every expiration of
-  /// that wake in fire order (same records, same order as on_expire would
-  /// see). When set it takes precedence over on_expire. Delivery happens
+  /// One call per wake carrying every expiration of that wake in fire
+  /// order (periodic timers re-arm automatically); the switch forwards
+  /// each call to the event merger as one submission. Delivery happens
   /// after the whole burst's bookkeeping (periodic re-arms, one-shot
   /// removal), so handlers must not assume they can cancel a timer that
   /// expired in the same burst — the switch's merger hand-off never does.
-  std::function<void(const TimerEventData*, std::size_t)> on_expire_batch;  // hotpath-ok: installed once
+  std::function<void(const TimerEventData*, std::size_t)> on_expire;  // hotpath-ok: installed once
 
   /// Periodic timer with program cookie; first fire one period from now.
   TimerId set_periodic(sim::Time period, std::uint64_t cookie = 0);
@@ -143,8 +140,8 @@ class TimerBlock {
   std::uint64_t fired_ = 0;
   /// Reused by wake() so per-wake expiry collection does not allocate.
   std::vector<TimingWheel::Expired> expired_scratch_;
-  /// Coalesced same-wake delivery burst for on_expire_batch (capacity
-  /// retained across wakes).
+  /// Coalesced same-wake delivery burst for on_expire (capacity retained
+  /// across wakes).
   std::vector<TimerEventData> delivery_scratch_;
 };
 

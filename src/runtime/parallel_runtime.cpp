@@ -514,16 +514,11 @@ void ParallelRuntime::run_until(sim::Time deadline) {
   if (deadline <= start) {
     return;
   }
-  if (plan_.num_shards == 1 && options_.inline_single_shard) {
-    shards_[0].sched->run_until(deadline);
-    ++windows_;  // one round: drained to the deadline in a single window
-    return;
-  }
   if (pool_size_ == 1) {
-    // Fewer cores than shards: multiplex every shard on the caller's
-    // thread. Same round loop, no barrier, no futex — the oversubscribed
-    // configuration degrades to sequential windowing instead of context-
-    // switch thrash.
+    // One shard, or fewer cores than shards: multiplex every shard on the
+    // caller's thread. Same round loop, no barrier, no futex — the
+    // oversubscribed configuration degrades to sequential windowing
+    // instead of context-switch thrash.
     run_rounds(0, deadline);
     return;
   }

@@ -82,8 +82,6 @@ struct RuntimeOptions {
   /// correctness and FIFO order are preserved, only the lock-free fast
   /// path is lost (counted in overflow_messages()).
   std::size_t ring_capacity = 4096;
-  /// Run single-shard plans inline on the caller's thread (no worker).
-  bool inline_single_shard = true;
   /// Worker pool size: 0 = min(num_shards, hardware threads). Values above
   /// num_shards are clamped. With one worker the round loop runs inline on
   /// the caller's thread (no pool threads, no barrier) — the right shape
@@ -154,10 +152,10 @@ class ParallelRuntime {
   /// messages they moved (ring_drained()/ring_drains() = avg burst size).
   std::uint64_t ring_drains() const;
   std::uint64_t ring_drained() const;
-  /// Synchronization rounds executed by run_until() calls (cumulative).
-  /// Every path counts one per round: the inline single-shard fast path
-  /// runs exactly one round per call, the pooled/multiplexed paths one per
-  /// barrier crossing.
+  /// Synchronization rounds executed by run_until() calls (cumulative),
+  /// one per round on every path. A single-shard plan has no channels, so
+  /// its window always reaches the deadline: one round per call that
+  /// advances time.
   std::uint64_t windows() const { return windows_; }
 
  private:

@@ -13,7 +13,7 @@ constexpr std::size_t kInitialCapacity = 1024;
 }  // namespace
 
 Scheduler::Scheduler(SchedulerOptions opts)
-    : use_wheel_(opts.use_wheel), wheel_(opts.wheel_res_bits) {
+    : use_wheel_(opts.use_wheel) {
   heap_.reserve(kInitialCapacity);
   burst_scratch_.reserve(kInitialCapacity);
   sametick_scratch_.reserve(kInitialCapacity);

@@ -15,7 +15,7 @@
 //    reads and a generation bump — O(1), no hashing — and stale queue
 //    entries are discarded lazily when they surface in a fire burst, by
 //    comparing their recorded generation against the slot's current one.
-//  * Near-horizon entries (within ~268 µs of the cursor) sit in a flat
+//  * Near-horizon entries (within ~2.1 ms of the cursor) sit in a flat
 //    timing wheel (sim/wheel.hpp): O(1) insert and expire, so dense
 //    periodic timers no longer pay O(log n) each. The heap takes the far
 //    future and cascades into the wheel as the cursor advances.
@@ -42,14 +42,13 @@ namespace edp::sim {
 /// wraparound, so 0 is never a valid id (callers use it as "none").
 using EventId = std::uint64_t;
 
-/// Kernel tuning knobs. The wheel tier changes only the data structure
-/// holding pending entries, never the fire order, so both configurations
-/// produce bit-identical runs — use_wheel=false exists for benchmarking
-/// the wheel win (bench_sched_throughput's timer_storm) and for
-/// differential tests.
+/// Kernel options, set per instance. The wheel tier changes only the data
+/// structure holding pending entries, never the fire order, so both
+/// configurations produce bit-identical runs — use_wheel=false is the
+/// heap-only reference for differential tests and for benchmarking the
+/// wheel win (bench_sched_throughput's timer_storm).
 struct SchedulerOptions {
   bool use_wheel = true;
-  unsigned wheel_res_bits = WheelTier::kDefaultResBits;
 };
 
 /// Discrete-event scheduler. Single-threaded by design: network simulation
@@ -62,20 +61,12 @@ class Scheduler {
     InlineCallback fn;
   };
 
-  Scheduler() : Scheduler(default_options()) {}
-  explicit Scheduler(SchedulerOptions opts);
+  explicit Scheduler(SchedulerOptions opts = {});
 
   // The scheduler owns pending closures that may capture references to it;
   // moving it would dangle them.
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  /// Process-wide default for subsequently constructed schedulers. Not
-  /// thread-safe: set it before spawning workers (benchmark main()s only).
-  static void set_default_options(SchedulerOptions opts) {
-    default_options_ = opts;
-  }
-  static SchedulerOptions default_options() { return default_options_; }
 
   /// Current simulated time. Monotonically non-decreasing.
   Time now() const { return now_; }
@@ -188,8 +179,6 @@ class Scheduler {
 
   /// Shared engine behind run()/run_until().
   std::size_t run_core(const Time* deadline, std::size_t max_events);
-
-  static inline SchedulerOptions default_options_{};
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;

@@ -1,7 +1,7 @@
 // edp::sim — near-horizon timing-wheel tier of the event kernel.
 //
 // A flat, non-lapping wheel: 2^12 buckets, each covering one
-// resolution-quantized tick (default 2^19 ps ≈ 524 ns), for a horizon of
+// resolution-quantized tick (2^19 ps ≈ 524 ns), for a horizon of
 // ~2.1 ms past the cursor — wide enough for every rate-based app period
 // (policer refill 100 µs, liveness check 500 µs, AQM update 1 ms). The
 // scheduler keeps every pending entry whose tick lands inside
@@ -67,18 +67,15 @@ struct EntryEarlier {
 
 class WheelTier {
  public:
-  static constexpr unsigned kDefaultResBits = 19;  ///< 524.288 ns per tick
+  static constexpr unsigned kResBits = 19;  ///< 524.288 ns per tick
   static constexpr std::size_t kSlotBits = 12;
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
   static constexpr std::size_t kMask = kSlots - 1;
   static constexpr std::size_t kWords = kSlots / 64;  ///< occupancy bitmap
 
-  explicit WheelTier(unsigned res_bits = kDefaultResBits)
-      : res_bits_(res_bits) {}
-
   /// Quantize an absolute time to its wheel tick.
   std::uint64_t tick_of(Time t) const {
-    return static_cast<std::uint64_t>(t.ps()) >> res_bits_;
+    return static_cast<std::uint64_t>(t.ps()) >> kResBits;
   }
 
   std::uint64_t cursor() const { return cursor_; }
@@ -199,7 +196,6 @@ class WheelTier {
     words_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
   }
 
-  unsigned res_bits_;
   std::uint64_t cursor_ = 0;  ///< ticks < cursor_ are in the past
   std::size_t count_ = 0;
   std::vector<std::vector<QueueEntry>> buckets_;  ///< lazily sized to kSlots

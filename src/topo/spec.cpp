@@ -206,16 +206,4 @@ ShardPlan plan_shards(const Spec& spec, std::size_t num_shards) {
   return plan;
 }
 
-ShardPlan plan_shards_contiguous(const Spec& spec, std::size_t num_shards) {
-  const std::size_t requested = num_shards;
-  num_shards = clamp_shards(spec, num_shards);
-  std::vector<std::size_t> switch_shard(spec.num_switches(), 0);
-  for (std::size_t i = 0; i < spec.num_switches(); ++i) {
-    switch_shard[i] = i * num_shards / spec.num_switches();
-  }
-  ShardPlan plan = plan_shards(spec, num_shards, std::move(switch_shard));
-  plan.requested_shards = requested;
-  return plan;
-}
-
 }  // namespace edp::topo

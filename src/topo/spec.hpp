@@ -160,10 +160,4 @@ ShardPlan plan_shards(const Spec& spec, std::size_t num_shards,
 /// requested_shards > num_shards.
 ShardPlan plan_shards(const Spec& spec, std::size_t num_shards);
 
-/// The pre-adaptive-planner default: contiguous blocks of switches (switch
-/// i goes to shard i * num_shards / num_switches), hosts co-located with
-/// their first switch. Kept for fixed-plan determinism baselines and
-/// planner A/B comparisons; also clamps num_shards to the switch count.
-ShardPlan plan_shards_contiguous(const Spec& spec, std::size_t num_shards);
-
 }  // namespace edp::topo

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -205,31 +203,15 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
   // Run to the horizon in chunks. The first chunk is the warmup window:
   // pools, rings and scheduler slots reach their high-water capacity there,
   // so the heap-allocation gauge measures the steady-state replay loop.
-  const sim::Time warmup =
-      std::min(options.chunk, sim::Time(horizon.ps() / 10));
+  const sim::Time chunk = sim::Time::millis(50);
+  const sim::Time warmup = std::min(chunk, sim::Time(horizon.ps() / 10));
   const auto wall0 = std::chrono::steady_clock::now();
-  // Debug aid (used when chasing determinism regressions): override the
-  // chunk size and print a per-chunk digest of the DUT + sink state.
-  sim::Time chunk = options.chunk;
-  const char* trace_env = std::getenv("EDP_SCEN_TRACE_US");
-  if (trace_env != nullptr) {
-    chunk = sim::Time::micros(std::strtoll(trace_env, nullptr, 10));
-  }
   rt.run_until(std::min(warmup, horizon));
   const std::uint64_t warm_events = rt.total_executed();
   const std::optional<std::uint64_t> warm_allocs = sim::heap_allocations();
   for (sim::Time t = warmup; t < horizon;) {
     t = std::min(horizon, t + chunk);
     rt.run_until(t);
-    if (trace_env != nullptr) {
-      std::uint64_t th = 1469598103934665603ULL;
-      th = mix_switch(th, rt.sw(map.dut));
-      std::fprintf(stderr, "trace t=%lldus dut=%016llx sink_rx=%llu\n",
-                   static_cast<long long>(t.ps() / 1'000'000),
-                   static_cast<unsigned long long>(th),
-                   static_cast<unsigned long long>(
-                       rt.host(map.sink_host).rx_packets()));
-    }
   }
   const auto wall1 = std::chrono::steady_clock::now();
   const std::optional<std::uint64_t> end_allocs = sim::heap_allocations();
@@ -290,11 +272,9 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
     out.agg_drained += reg.drained();
     out.agg_backlog_max =
         std::max<std::uint64_t>(out.agg_backlog_max, reg.backlog_max());
-    if (options.record_value_error) {
-      out.agg_value_error_max = std::max(
-          out.agg_value_error_max,
-          static_cast<std::uint64_t>(reg.value_error_max()));
-    }
+    out.agg_value_error_max =
+        std::max(out.agg_value_error_max,
+                 static_cast<std::uint64_t>(reg.value_error_max()));
   });
   out.value_error_bound = value_error_bound;
   // Settle so the app-state digest compares ground truth (main + pending

@@ -25,10 +25,6 @@ struct ReplayOptions {
   std::size_t shards = 1;
   /// Scale the spec to the app's registry EventRates before replaying.
   bool use_registry_rates = true;
-  /// Run in fixed chunks of simulated time instead of one run_until — the
-  /// engine's default, proven result-neutral by the runtime's repeated-run
-  /// property; lets callers sample progress.
-  sim::Time chunk = sim::Time::millis(50);
   /// Build the DUT through the optimizer (src/analysis/optimizer.hpp):
   /// apply the verified transforms, install the dispatch plan, and fill the
   /// optimizer fields of the outcome. The differential-correctness tests
@@ -36,10 +32,6 @@ struct ReplayOptions {
   bool optimize = false;
   /// Hardware target the optimizer rewrites for.
   std::string optimize_target = "linerate-tor";
-  /// Capture the aggregated registers' observed worst-case value deviation
-  /// (AggregatedRegister::value_error_max) alongside the optimizer's static
-  /// staleness-value-error bound, so tests can assert observed <= bound.
-  bool record_value_error = true;
 };
 
 struct ScenarioOutcome {
@@ -65,9 +57,9 @@ struct ScenarioOutcome {
   double sim_seconds = 0;
   double wall_seconds = 0;
   /// Heap allocations (global operator new, every thread) per event after
-  /// the warmup chunk — the replay loop's allocation gauge. What remains in
-  /// a steady state is the packet pool's one-time growth to the run's
-  /// in-flight peak. NaN unless the process links the heap counter
+  /// the warmup chunk (see replay()) — the replay loop's allocation gauge.
+  /// What remains in a steady state is the packet pool's one-time growth
+  /// to the run's in-flight peak. NaN unless the process links the heap counter
   /// (sim/heap_count.hpp), so a gate can never pass on a missing counter.
   double allocations_per_event = 0;
 
@@ -83,7 +75,7 @@ struct ScenarioOutcome {
   std::uint64_t agg_drained = 0;
   std::uint64_t agg_backlog_max = 0;
   /// Observed worst-case |main - true| deviation across aggregated cells
-  /// (ReplayOptions::record_value_error), and the static
+  /// (AggregatedRegister::value_error_max), and the static
   /// staleness-value-error bound it must stay under (value-analysis pass;
   /// 0 when nothing is aggregated or the bound is unstable).
   std::uint64_t agg_value_error_max = 0;
@@ -104,7 +96,10 @@ inline bool steady_state_allocation_free(const ScenarioOutcome& o) {
 }
 
 /// Replay `spec` against registered program `app`. The app factory builds a
-/// fresh program instance for the DUT; edges run EdgeProgram routers.
+/// fresh program instance for the DUT; edges run EdgeProgram routers. The
+/// run advances in 50 ms chunks of simulated time (result-neutral by the
+/// runtime's repeated-run property); the first chunk, capped at a tenth of
+/// the horizon, is the warmup window the allocation gauge excludes.
 ScenarioOutcome replay(const ScenarioSpec& spec,
                        const apps::RegisteredProgram& app,
                        const ReplayOptions& options = {});

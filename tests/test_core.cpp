@@ -120,14 +120,26 @@ TEST(TimingWheel, ManyTimersSameSlotDistinctLaps) {
 
 // ---- timer block ------------------------------------------------------------------
 
+/// Installs a batched on_expire hook that runs `f` on every record of
+/// every burst, in delivery order.
+template <typename F>
+void on_each_expiry(TimerBlock& timers, F f) {
+  timers.on_expire = [f = std::move(f)](const TimerEventData* d,
+                                        std::size_t n) mutable {
+    for (std::size_t i = 0; i < n; ++i) {
+      f(d[i]);
+    }
+  };
+}
+
 TEST(TimerBlock, PeriodicFiresAtConfiguredRate) {
   sim::Scheduler sched;
   TimerBlock timers(sched, sim::Time::micros(1));
   std::vector<sim::Time> fires;
-  timers.on_expire = [&](const TimerEventData& d) {
+  on_each_expiry(timers, [&](const TimerEventData& d) {
     fires.push_back(d.fired_at);
     EXPECT_EQ(d.cookie, 0x77u);
-  };
+  });
   timers.set_periodic(sim::Time::micros(100), 0x77);
   sched.run_until(sim::Time::millis(1));
   EXPECT_EQ(fires.size(), 10u);
@@ -139,7 +151,7 @@ TEST(TimerBlock, OneShotFiresOnce) {
   sim::Scheduler sched;
   TimerBlock timers(sched, sim::Time::micros(1));
   int fires = 0;
-  timers.on_expire = [&](const TimerEventData&) { ++fires; };
+  on_each_expiry(timers, [&](const TimerEventData&) { ++fires; });
   timers.set_oneshot(sim::Time::micros(50));
   sched.run_until(sim::Time::millis(10));
   EXPECT_EQ(fires, 1);
@@ -150,7 +162,7 @@ TEST(TimerBlock, CancelPeriodicByStableId) {
   sim::Scheduler sched;
   TimerBlock timers(sched, sim::Time::micros(1));
   int fires = 0;
-  timers.on_expire = [&](const TimerEventData&) { ++fires; };
+  on_each_expiry(timers, [&](const TimerEventData&) { ++fires; });
   const TimerId id = timers.set_periodic(sim::Time::micros(100));
   sched.run_until(sim::Time::micros(350));
   EXPECT_EQ(fires, 3);
@@ -164,8 +176,8 @@ TEST(TimerBlock, QuantizesToResolution) {
   sim::Scheduler sched;
   TimerBlock timers(sched, sim::Time::micros(10));
   std::vector<sim::Time> fires;
-  timers.on_expire =
-      [&](const TimerEventData& d) { fires.push_back(d.fired_at); };
+  on_each_expiry(timers,
+                 [&](const TimerEventData& d) { fires.push_back(d.fired_at); });
   timers.set_oneshot(sim::Time::micros(15));
   sched.run_until(sim::Time::millis(1));
   ASSERT_EQ(fires.size(), 1u);
@@ -177,9 +189,9 @@ TEST(TimerBlock, ManyIndependentPeriodics) {
   sim::Scheduler sched;
   TimerBlock timers(sched, sim::Time::micros(1));
   std::array<int, 3> fires{};
-  timers.on_expire = [&](const TimerEventData& d) {
+  on_each_expiry(timers, [&](const TimerEventData& d) {
     ++fires[static_cast<std::size_t>(d.cookie)];
-  };
+  });
   timers.set_periodic(sim::Time::micros(100), 0);
   timers.set_periodic(sim::Time::micros(250), 1);
   timers.set_periodic(sim::Time::micros(997), 2);
@@ -191,13 +203,12 @@ TEST(TimerBlock, ManyIndependentPeriodics) {
 
 TEST(TimerBlock, BatchDeliveryCoalescesSameTickExpirations) {
   // Several timers expiring on the same wheel tick must arrive as ONE
-  // on_expire_batch call, carrying the same records in the same order the
-  // per-record on_expire path would have seen.
+  // on_expire call, carrying their records in fire order.
   sim::Scheduler sched;
   TimerBlock timers(sched, sim::Time::micros(1));
   std::vector<std::size_t> burst_sizes;
   std::vector<std::uint64_t> cookies;
-  timers.on_expire_batch = [&](const TimerEventData* d, std::size_t n) {
+  timers.on_expire = [&](const TimerEventData* d, std::size_t n) {
     burst_sizes.push_back(n);
     for (std::size_t i = 0; i < n; ++i) {
       cookies.push_back(d[i].cookie);
@@ -215,35 +226,6 @@ TEST(TimerBlock, BatchDeliveryCoalescesSameTickExpirations) {
   EXPECT_EQ(cookies,
             (std::vector<std::uint64_t>{10, 11, 12, 13, 14}));
   EXPECT_EQ(timers.fired(), 5u);
-}
-
-TEST(TimerBlock, BatchAndSingleDeliveryAgree) {
-  // Differential: the same periodic/one-shot mix produces identical
-  // (cookie, fired_at) streams whichever delivery hook is installed.
-  const auto run_mode = [](bool batched) {
-    sim::Scheduler sched;
-    TimerBlock timers(sched, sim::Time::micros(1));
-    std::vector<std::pair<std::uint64_t, std::int64_t>> log;
-    const auto record = [&log](const TimerEventData& d) {
-      log.emplace_back(d.cookie, d.fired_at.ps());
-    };
-    if (batched) {
-      timers.on_expire_batch = [&](const TimerEventData* d, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-          record(d[i]);
-        }
-      };
-    } else {
-      timers.on_expire = record;
-    }
-    timers.set_periodic(sim::Time::micros(100), 1);
-    timers.set_periodic(sim::Time::micros(100), 2);  // same tick as 1
-    timers.set_periodic(sim::Time::micros(333), 3);
-    timers.set_oneshot(sim::Time::micros(500), 4);
-    sched.run_until(sim::Time::millis(5));
-    return log;
-  };
-  EXPECT_EQ(run_mode(true), run_mode(false));
 }
 
 // ---- packet generator ---------------------------------------------------------------
@@ -993,7 +975,7 @@ TEST(TimerBlock, CancelOneShotBeforeFire) {
   sim::Scheduler sched;
   TimerBlock timers(sched, sim::Time::micros(1));
   int fires = 0;
-  timers.on_expire = [&](const TimerEventData&) { ++fires; };
+  on_each_expiry(timers, [&](const TimerEventData&) { ++fires; });
   const TimerId id = timers.set_oneshot(sim::Time::micros(100), 0);
   EXPECT_TRUE(timers.cancel(id));
   EXPECT_FALSE(timers.cancel(id));  // already gone

@@ -489,12 +489,14 @@ TEST_P(TimerRate, PeriodicFiresAtExactLongRunRate) {
   std::uint64_t fires = 0;
   sim::Time last = sim::Time::zero();
   sim::Time max_gap = sim::Time::zero();
-  timers.on_expire = [&](const core::TimerEventData& d) {
-    ++fires;
-    if (last > sim::Time::zero()) {
-      max_gap = std::max(max_gap, d.fired_at - last);
+  timers.on_expire = [&](const core::TimerEventData* d, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ++fires;
+      if (last > sim::Time::zero()) {
+        max_gap = std::max(max_gap, d[i].fired_at - last);
+      }
+      last = d[i].fired_at;
     }
-    last = d.fired_at;
   };
   timers.set_periodic(sim::Time::micros(period_us), 1);
   const sim::Time horizon = sim::Time::millis(500);

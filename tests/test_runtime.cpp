@@ -309,15 +309,25 @@ std::uint64_t run_sequential(std::uint64_t seed, double rate_bps = 200e6) {
   return d.h;
 }
 
+/// The index block split: switch i goes to shard i * shards / num_switches,
+/// hosts follow their first switch. A fixed plan to compare the greedy
+/// planner against.
+topo::ShardPlan block_plan(const topo::Spec& spec, std::size_t shards) {
+  std::vector<std::size_t> assign(spec.num_switches());
+  for (std::size_t i = 0; i < assign.size(); ++i) {
+    assign[i] = i * shards / spec.num_switches();
+  }
+  return topo::plan_shards(spec, shards, std::move(assign));
+}
+
 RunStats run_parallel(std::uint64_t seed, std::size_t shards,
                       runtime::RuntimeOptions options = {},
                       bool split_run = false, double rate_bps = 200e6,
-                      bool contiguous_plan = false) {
+                      bool block_split = false) {
   const topo::Spec spec = make_spec();
   runtime::ParallelRuntime rt(spec,
-                              contiguous_plan
-                                  ? topo::plan_shards_contiguous(spec, shards)
-                                  : topo::plan_shards(spec, shards),
+                              block_split ? block_plan(spec, shards)
+                                          : topo::plan_shards(spec, shards),
                               options);
   auto progs = make_programs();
   for (std::size_t i = 0; i < spec.num_switches(); ++i) {
@@ -351,7 +361,7 @@ RunStats run_parallel(std::uint64_t seed, std::size_t shards,
 
 TEST(ShardPlan, ContiguousBlockPartitionAndCutDetection) {
   const topo::Spec spec = make_spec();
-  const auto plan = topo::plan_shards_contiguous(spec, 2);
+  const auto plan = block_plan(spec, 2);
   ASSERT_EQ(plan.switch_shard.size(), kLeaves + kSpines);
   // Block partition: first half of the switch list -> shard 0.
   EXPECT_EQ(plan.switch_shard.front(), 0u);
@@ -375,7 +385,7 @@ TEST(ShardPlan, GreedyPlannerCutsNoMoreThanContiguous) {
   const topo::Spec spec = make_spec();
   for (std::size_t shards : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
     const auto greedy = topo::plan_shards(spec, shards);
-    const auto block = topo::plan_shards_contiguous(spec, shards);
+    const auto block = block_plan(spec, shards);
     EXPECT_LE(greedy.cut_links.size(), block.cut_links.size())
         << shards << " shards";
     EXPECT_LE(greedy.cut_fraction, block.cut_fraction);
@@ -448,9 +458,6 @@ TEST(ShardPlan, ClampsShardsToSwitchCountAndStaysCorrect) {
   EXPECT_EQ(plan.num_shards, 3u);  // clamped: one switch per shard max
   EXPECT_EQ(plan.requested_shards, 4u);
   EXPECT_EQ(plan.empty_shards, 0u);
-  const auto contiguous = topo::plan_shards_contiguous(spec, 4);
-  EXPECT_EQ(contiguous.num_shards, 3u);
-  EXPECT_EQ(contiguous.requested_shards, 4u);
 
   // The clamped plan still runs and matches the sequential reference.
   auto programs = [] {
@@ -585,15 +592,14 @@ TEST(ParallelRuntime, SplitRunsMatchAcrossSeedsAndShardCounts) {
   }
 }
 
-// The contiguous planner stays available as a fixed-plan baseline: its
-// digests must match the sequential reference too (same events, different
-// partition), proving determinism is plan-independent.
+// A fixed block split must match the sequential reference too (same
+// events, different partition), proving determinism is plan-independent.
 TEST(ParallelRuntime, ContiguousPlanMatchesSequential) {
   for (std::uint64_t seed : {std::uint64_t{2}, std::uint64_t{5}}) {
     const std::uint64_t reference = run_sequential(seed);
     for (std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
       const RunStats par = run_parallel(seed, shards, {}, false, 200e6,
-                                        /*contiguous_plan=*/true);
+                                        /*block_split=*/true);
       EXPECT_EQ(par.digest, reference)
           << "seed " << seed << ", " << shards << " shards";
     }
@@ -650,6 +656,48 @@ TEST(ParallelRuntime, IdleWindowsAreSkipped) {
   // pay for the quiet 96ms.
   EXPECT_LT(rt.windows(), 10000u);
   EXPECT_GT(rt.windows(), 100u);  // the busy phase still synchronizes
+}
+
+// One shard has no channels, so every run_until that advances time is
+// exactly one round of the shared round loop, and a deadline at or before
+// now() does nothing.
+TEST(ParallelRuntime, SingleShardRunsOneRoundPerCall) {
+  const std::uint64_t seed = 4;
+  const topo::Spec spec = make_spec();
+  runtime::ParallelRuntime rt(spec, topo::plan_shards(spec, 1));
+  ASSERT_EQ(rt.num_shards(), 1u);
+  auto progs = make_programs();
+  for (std::size_t i = 0; i < spec.num_switches(); ++i) {
+    rt.sw(i).set_program(progs[i].get());
+  }
+  std::vector<std::unique_ptr<topo::PoissonGenerator>> gens;
+  for (std::size_t h = 0; h < spec.num_hosts(); ++h) {
+    const auto dst = rt.host((h + 1) % spec.num_hosts()).ip();
+    gens.push_back(std::make_unique<topo::PoissonGenerator>(
+        rt.scheduler_of_host(h), rt.host(h),
+        gen_cfg(seed, h, rt.host(h).ip(), dst, 200e6)));
+    gens.back()->start();
+  }
+  constexpr std::int64_t kCalls = 7;
+  for (std::int64_t k = 1; k <= kCalls; ++k) {
+    const sim::Time deadline = kRunSpan * k / kCalls;
+    rt.run_until(deadline);
+    EXPECT_EQ(rt.now(), deadline);
+    EXPECT_EQ(rt.windows(), static_cast<std::uint64_t>(k));
+    // No-ops: the current time, and a time already past.
+    rt.run_until(deadline);
+    rt.run_until(deadline / 2);
+    EXPECT_EQ(rt.now(), deadline);
+    EXPECT_EQ(rt.windows(), static_cast<std::uint64_t>(k));
+  }
+  Digest d;
+  for (std::size_t i = 0; i < spec.num_switches(); ++i) {
+    d.mix_switch(rt.sw(i));
+  }
+  for (std::size_t h = 0; h < spec.num_hosts(); ++h) {
+    d.mix_host(rt.host((h + 1) % spec.num_hosts()), h);
+  }
+  EXPECT_EQ(d.h, run_sequential(seed));
 }
 
 TEST(ParallelRuntime, ShardIdTagIsApplied) {

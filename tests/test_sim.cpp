@@ -447,11 +447,67 @@ TEST(Scheduler, PendingIsExactUnderCancellation) {
 namespace {
 
 /// Horizon of the default wheel in absolute time: kSlots ticks of
-/// 2^kDefaultResBits picoseconds each (~2.1 ms).
+/// 2^kResBits picoseconds each (~2.1 ms).
 constexpr Time wheel_horizon() {
   return Time::picos(static_cast<std::int64_t>(WheelTier::kSlots)
-                     << WheelTier::kDefaultResBits);
+                     << WheelTier::kResBits);
 }
+
+/// The wheel-vs-heap differential workload (see the test below): every
+/// fired event logs (label, time), schedules a child and may cancel a
+/// pending event, drawing its choices from one seeded stream, so the two
+/// modes stay in lockstep exactly as long as their fire orders agree.
+struct TierDiffRun {
+  static constexpr std::size_t kMaxEvents = 3000;
+  Scheduler sched;
+  Random rng{0xC0FFEE};
+  std::vector<std::pair<int, std::int64_t>> log;
+  std::vector<EventId> ids;
+
+  explicit TierDiffRun(bool use_wheel) : sched(SchedulerOptions{use_wheel}) {}
+
+  void schedule(Time when) {
+    const int label = static_cast<int>(ids.size());
+    ids.push_back(sched.at(when, [this, label] { fire(label); }));
+  }
+  void fire(int label) {
+    const Time now = sched.now();
+    log.emplace_back(label, now.ps());
+    if (ids.size() >= kMaxEvents) {
+      return;
+    }
+    const std::int64_t tick = std::int64_t{1} << WheelTier::kResBits;
+    const auto left_in_tick =
+        static_cast<std::uint64_t>(tick - now.ps() % tick);
+    const auto pick = [this](std::uint64_t bound) {
+      return static_cast<std::int64_t>(rng.uniform(bound));
+    };
+    switch (rng.uniform(4)) {
+      case 0:
+        schedule(now);
+        break;
+      case 1:
+        schedule(now + Time::picos(pick(left_in_tick)));
+        break;
+      case 2:
+        schedule(now + Time::nanos(pick(5000)));
+        break;
+      default:
+        schedule(now + wheel_horizon() + Time::picos(pick(10'000'000)));
+        break;
+    }
+    switch (rng.uniform(6)) {
+      case 0:
+        sched.cancel(ids[rng.uniform(ids.size())]);
+        break;
+      case 1:
+        sched.cancel(ids.back());  // the child just scheduled
+        break;
+      default:
+        break;
+    }
+  }
+};
 
 }  // namespace
 
@@ -534,32 +590,39 @@ TEST(Scheduler, CancelBatchCountsOnlyGenuinePending) {
 }
 
 TEST(Scheduler, WheelAndHeapOnlyModesFireIdentically) {
-  // Differential check of the whole tiering machinery: a pseudo-random
-  // schedule with duplicate fire times and cancellations must produce a
-  // bit-identical (label, time) fire log whether the wheel tier is on or
-  // off — the wheel changes *where* entries wait, never the order.
+  // Differential check of the whole tiering machinery: the same workload
+  // must produce a bit-identical (label, time) fire log whether the wheel
+  // tier is on or off — the wheel changes *where* entries wait, never the
+  // order. Events are scheduled from outside and from inside callbacks (at
+  // the current instant, later in the firing tick, and past the wheel
+  // horizon), cancelled from both sides, and run through run_until
+  // deadlines that split wheel ticks before the final drain.
   const auto run_mode = [](bool use_wheel) {
-    Scheduler sched{SchedulerOptions{use_wheel, WheelTier::kDefaultResBits}};
-    std::vector<std::pair<int, std::int64_t>> log;
-    Random rng(0xC0FFEE);
-    std::vector<EventId> ids;
+    TierDiffRun r(use_wheel);
     for (int i = 0; i < 500; ++i) {
       // 200 distinct instants over ~3.5 wheel horizons: plenty of exact
       // same-time collisions plus both tiers exercised.
-      const auto when =
-          Time::picos(static_cast<std::int64_t>(rng.uniform(200)) *
-                      37'000'000);
-      ids.push_back(sched.at(when, [&log, i, &sched] {
-        log.emplace_back(i, sched.now().ps());
-      }));
+      r.schedule(Time::picos(static_cast<std::int64_t>(r.rng.uniform(200)) *
+                             37'000'000));
     }
     for (int i = 0; i < 500; i += 3) {
-      sched.cancel(ids[static_cast<std::size_t>(i)]);
+      r.sched.cancel(r.ids[static_cast<std::size_t>(i)]);
     }
-    sched.run();
-    return log;
+    // Deadlines off the tick grid, each splitting a wheel tick; between
+    // calls the outside schedules into the rest of the tick it split.
+    const std::int64_t tick = std::int64_t{1} << WheelTier::kResBits;
+    for (std::int64_t k = 1; k <= 40; ++k) {
+      const Time deadline = Time::picos(k * 180'000'123);
+      r.sched.run_until(deadline);
+      EXPECT_EQ(r.sched.now(), deadline);
+      r.schedule(deadline + Time::picos((tick - deadline.ps() % tick) / 2));
+    }
+    r.sched.run();
+    return r.log;
   };
-  EXPECT_EQ(run_mode(true), run_mode(false));
+  const auto wheel = run_mode(true);
+  EXPECT_GT(wheel.size(), 1500u);
+  EXPECT_EQ(wheel, run_mode(false));
 }
 
 TEST(Scheduler, RunUntilDeadlineSplitsAWheelTick) {
@@ -647,7 +710,7 @@ TEST(WheelTier, SteadyScheduleFireLapsDoNotAllocate) {
   // one warm lap the drained buckets' recycled storage serves every
   // insert, whatever burst size lands where.
   Scheduler sched;
-  const Time tick = Time::picos(std::int64_t{1} << WheelTier::kDefaultResBits);
+  const Time tick = Time::picos(std::int64_t{1} << WheelTier::kResBits);
   const Time lap = tick * static_cast<std::int64_t>(WheelTier::kSlots);
   std::uint64_t fired = 0;
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
