@@ -1,6 +1,7 @@
 #include "core/event_merger.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace edp::core {
@@ -24,27 +25,52 @@ EventMerger::EventMerger(sim::Scheduler& sched, MergerConfig config)
                    [this](std::size_t a, std::size_t b) {
                      return config_.priority[a] > config_.priority[b];
                    });
+  for (std::size_t r = 0; r < kNumEventKinds; ++r) {
+    rank_[order_[r]] = r;
+  }
 }
 
-bool EventMerger::submit_packet(net::Packet packet, PacketOrigin origin) {
+bool EventMerger::admit_packet(net::Packet&& packet, PacketOrigin origin) {
   if (packets_.size() >= config_.packet_fifo_depth) {
     ++packet_drops_;
     return false;
   }
   packets_.push_back(PendingPacket{std::move(packet), origin});
+  return true;
+}
+
+bool EventMerger::submit_packet(net::Packet packet, PacketOrigin origin) {
+  if (!admit_packet(std::move(packet), origin)) {
+    return false;
+  }
   pump();
   return true;
 }
 
+bool EventMerger::submit_arrival(net::Packet packet) {
+  if (!admit_packet(std::move(packet), PacketOrigin::kIngress)) {
+    return false;
+  }
+  if (!slot_scheduled_ && !in_slot_ &&
+      sched_.try_advance(next_slot_time())) {
+    run_slots();
+  } else {
+    pump();
+  }
+  return true;
+}
+
 bool EventMerger::admit_event(Event&& event) {
-  auto& st = stats_[static_cast<std::size_t>(event.kind)];
+  const auto k = static_cast<std::size_t>(event.kind);
+  auto& st = stats_[k];
   ++st.submitted;
-  auto& fifo = fifos_[static_cast<std::size_t>(event.kind)];
+  auto& fifo = fifos_[k];
   if (fifo.size() >= config_.event_fifo_depth) {
     ++st.dropped;
     return false;
   }
   fifo.push_back(std::move(event));
+  pending_ranks_ |= std::uint32_t{1} << rank_[k];
   return true;
 }
 
@@ -69,14 +95,6 @@ std::size_t EventMerger::submit_events(Event* events, std::size_t n) {
   return accepted;
 }
 
-bool EventMerger::has_work() const {
-  if (!packets_.empty()) {
-    return true;
-  }
-  return std::any_of(fifos_.begin(), fifos_.end(),
-                     [](const auto& f) { return !f.empty(); });
-}
-
 std::size_t EventMerger::event_backlog() const {
   std::size_t n = 0;
   for (const auto& f : fifos_) {
@@ -85,29 +103,45 @@ std::size_t EventMerger::event_backlog() const {
   return n;
 }
 
-void EventMerger::pump() {
-  if (slot_scheduled_ || !has_work()) {
-    return;
-  }
-  // Slots stay on this switch's clock grid (k * cycle + phase): the next
-  // slot is the later of the next free pipeline cycle and the grid point
-  // at/after "now".
+sim::Time EventMerger::next_slot_time() const {
   const sim::Time cycle = config_.cycle_time;
   const std::int64_t rel = sched_.now().ps() - config_.clock_phase.ps();
   const std::int64_t k =
       rel <= 0 ? 0 : (rel + cycle.ps() - 1) / cycle.ps();
   const sim::Time aligned(k * cycle.ps() + config_.clock_phase.ps());
-  const sim::Time when = std::max(next_slot_time_, aligned);
+  return std::max(next_slot_time_, aligned);
+}
+
+void EventMerger::pump() {
+  if (slot_scheduled_ || in_slot_ || !has_work()) {
+    return;
+  }
+  // Slots stay on this switch's clock grid (k * cycle + phase).
   slot_scheduled_ = true;
-  sched_.at(when, [this] { run_slot(); });
+  sched_.at(next_slot_time(), [this] { run_slot(); });
 }
 
 void EventMerger::run_slot() {
   slot_scheduled_ = false;
-  if (!has_work()) {
-    return;  // everything was consumed by an earlier slot
+  if (has_work()) {
+    run_slots();
   }
+}
 
+void EventMerger::run_slots() {
+  // A slot scheduled now would carry the newest sequence number, so it
+  // would fire next exactly when try_advance() finds nothing else due by
+  // its time: run it here instead. Pumps from inside the body were
+  // deferred to this point, so the slot is minted only once the body is
+  // done, as the original per-slot pump at the body's end did.
+  do {
+    slot_body();
+  } while (has_work() && sched_.try_advance(next_slot_time()));
+  pump();
+}
+
+void EventMerger::slot_body() {
+  in_slot_ = true;
   SlotWork work;
   work.events = event_vectors_.acquire();  // recycled capacity, cleared
   work.time = sched_.now();
@@ -133,10 +167,13 @@ void EventMerger::run_slot() {
   // subject to the shared per-slot budget. Kinds are visited in
   // programmer-assigned priority order (precomputed at construction;
   // stable by kind index on ties), so urgent events win the metadata
-  // space when it is scarce (§4 future work on access scheduling).
+  // space when it is scarce (§4 future work on access scheduling). Only
+  // non-empty kinds are visited: an empty FIFO attaches nothing.
   std::size_t budget = config_.events_per_slot;
-  for (const std::size_t k : order_) {
-    auto& fifo = fifos_[k];
+  for (std::uint32_t ranks = pending_ranks_; ranks != 0 && budget > 0;
+       ranks &= ranks - 1) {
+    const auto r = static_cast<std::size_t>(std::countr_zero(ranks));
+    auto& fifo = fifos_[order_[r]];
     for (std::size_t i = 0; i < config_.events_per_kind_per_slot &&
                             !fifo.empty() && budget > 0;
          ++i, --budget) {
@@ -154,6 +191,9 @@ void EventMerger::run_slot() {
         ++events_on_carrier_;
       }
     }
+    if (fifo.empty()) {
+      pending_ranks_ &= ~(std::uint32_t{1} << r);
+    }
   }
 
   work.carrier = !work.packet && !work.events.empty();
@@ -169,7 +209,7 @@ void EventMerger::run_slot() {
   } else {
     recycle(std::move(work));
   }
-  pump();  // more work -> next slot
+  in_slot_ = false;
 }
 
 }  // namespace edp::core

@@ -17,6 +17,14 @@
 // The merger is event-driven for efficiency: slots are only simulated when
 // there is work, and slot times stay aligned to the clock grid, so cycle
 // indices are exact.
+//
+// Inline slots: where a slot's scheduler round trip is already implied by
+// timing, the slot runs in place instead. A slot ends by running the next
+// one inline, and a link or ring delivery (submit_arrival) runs the slot it
+// opens inline, each time only if sim::Scheduler::try_advance says nothing
+// else is due first — exactly when the scheduled callback would have been
+// the next to fire. Slot times, cycles and contents never move; only the
+// number of scheduler callbacks falls (docs/PERFORMANCE.md).
 #pragma once
 
 #include <array>
@@ -104,6 +112,13 @@ class EventMerger {
   /// ingress backlog is full.
   bool submit_packet(net::Packet packet, PacketOrigin origin);
 
+  /// submit_packet for a link or ring delivery callback that ends with
+  /// this call: when the packet opens a slot and nothing else is due
+  /// first, the slot runs inline (now() moves to the slot time) instead of
+  /// being scheduled. A caller that keeps working afterwards must use
+  /// submit_packet.
+  bool submit_arrival(net::Packet packet);
+
   /// Submit a non-packet event. False (and counted) if that kind's FIFO is
   /// full — a genuinely dropped event, as in hardware.
   bool submit_event(Event event);
@@ -164,11 +179,25 @@ class EventMerger {
     PacketOrigin origin;
   };
 
-  /// Ensure a slot callback is scheduled if there is work.
+  /// Ensure a slot callback is scheduled if there is work. Deferred while
+  /// a slot body runs: the slot's tail pumps (or runs the next slot).
   void pump();
+  /// The scheduled slot callback.
   void run_slot();
-  bool has_work() const;
+  /// Run the slot due at now(), then each next one inline while the
+  /// scheduler allows; schedule the first one it does not. Call only as
+  /// the last act of a callback, with work pending and no slot scheduled.
+  void run_slots();
+  /// One pipeline slot at now().
+  void slot_body();
+  /// The next slot's time: the later of the next free pipeline cycle and
+  /// the grid point at/after now().
+  sim::Time next_slot_time() const;
+  bool has_work() const { return !packets_.empty() || pending_ranks_ != 0; }
 
+  /// Push one packet into the ingress FIFO (false and counted if it is
+  /// full); the caller is responsible for pumping.
+  bool admit_packet(net::Packet&& packet, PacketOrigin origin);
   /// Push one event into its kind FIFO (stats + overflow drop); the caller
   /// is responsible for pumping.
   bool admit_event(Event&& event);
@@ -178,6 +207,13 @@ class EventMerger {
   /// Kind indices sorted by programmer-assigned priority (stable by kind
   /// index on ties) — fixed at construction, consulted every slot.
   std::array<std::size_t, kNumEventKinds> order_{};
+  /// rank_[kind] = its position in order_.
+  std::array<std::size_t, kNumEventKinds> rank_{};
+  /// Bit r set iff fifos_[order_[r]] is non-empty: has_work() is one test
+  /// and a slot's attach loop visits only non-empty kinds, in priority
+  /// order.
+  std::uint32_t pending_ranks_ = 0;
+  static_assert(kNumEventKinds <= 32, "pending_ranks_ holds one bit a kind");
   sim::RingQueue<PendingPacket> packets_;
   std::array<sim::RingQueue<Event>, kNumEventKinds> fifos_;
   /// Recycled SlotWork::events vectors (filled by run_slot, returned by the
@@ -190,6 +226,7 @@ class EventMerger {
   bool first_slot_done_ = false;
   std::uint64_t last_gap_cycles_ = 0;
   bool slot_scheduled_ = false;
+  bool in_slot_ = false;  ///< a slot body is running (pumps deferred)
 
   std::uint64_t slots_total_ = 0;
   std::uint64_t slots_with_packet_ = 0;

@@ -137,16 +137,33 @@ void EventSwitch::connect_tx(std::uint16_t port,
                              std::function<void(net::Packet)> tx) {
   assert(port < ports_.size());
   ports_[port].tx = std::move(tx);
+  ports_[port].link = nullptr;
 }
 
-void EventSwitch::receive(std::uint16_t port, net::Packet packet) {
+void EventSwitch::connect_link(
+    std::uint16_t port, std::function<void(net::Packet, sim::Time)> link) {
+  assert(port < ports_.size());
+  ports_[port].link = std::move(link);
+  ports_[port].tx = nullptr;
+}
+
+void EventSwitch::stamp_arrival(std::uint16_t port, net::Packet& packet) {
   assert(port < ports_.size());
   ++counters_.rx_packets;
   observe(EventKind::kIngressPacket);
   packet.meta().ingress_port = port;
   packet.meta().arrival = sched_.now();
   packet.meta().trace_id = next_trace_id_++;
+}
+
+void EventSwitch::receive(std::uint16_t port, net::Packet packet) {
+  stamp_arrival(port, packet);
   merger_.submit_packet(std::move(packet), PacketOrigin::kIngress);
+}
+
+void EventSwitch::arrive(std::uint16_t port, net::Packet packet) {
+  stamp_arrival(port, packet);
+  merger_.submit_arrival(std::move(packet));
 }
 
 void EventSwitch::set_link_status(std::uint16_t port, bool up) {
@@ -319,6 +336,15 @@ void EventSwitch::enable_event(EventKind kind, bool enabled) {
     return;  // baseline architectures have no event delivery to enable
   }
   deliver_[static_cast<std::size_t>(kind)] = enabled;
+  if (kind == EventKind::kPacketTransmitted && enabled) {
+    // A packet already on the wire raises its transmit event too.
+    for (std::size_t p = 0; p < ports_.size(); ++p) {
+      const PortState& ps = ports_[p];
+      if (ps.owed && !ps.completion && sched_.now() < ps.departs) {
+        schedule_completion(static_cast<std::uint16_t>(p), std::nullopt);
+      }
+    }
+  }
 }
 
 bool EventSwitch::event_enabled(EventKind kind) const {
@@ -326,6 +352,7 @@ bool EventSwitch::event_enabled(EventKind kind) const {
 }
 
 std::string EventSwitch::describe() const {
+  credit_departed();
   char buf[512];
   std::string out = config_.name + " (" +
                     (config_.event_architecture ? "event-driven"
@@ -562,7 +589,19 @@ void EventSwitch::try_transmit(std::uint16_t port) {
   // Loop (not recursion): the egress pipeline may drop many consecutive
   // queued packets, and the next candidate must be served from the same
   // activation without growing the stack.
-  while (!ps.busy && ps.link_up && !tm_.port_empty(port)) {
+  while (ps.link_up && !tm_.port_empty(port)) {
+    if (ps.completion) {
+      return;  // the completion serves this port next
+    }
+    if (ps.owed) {
+      if (sched_.now() < ps.departs) {
+        // A packet is queued behind the one on the wire: its completion
+        // starts the next serialization at the departure.
+        schedule_completion(port, std::nullopt);
+        return;
+      }
+      credit(port);
+    }
     auto qp = tm_.dequeue(port, sched_.now());
     assert(qp.has_value());
     net::Packet pkt = std::move(qp->packet);
@@ -596,29 +635,75 @@ void EventSwitch::try_transmit(std::uint16_t port) {
         pkt = std::move(phv.packet);  // pass through unmodified
       }
     }
-
-    ps.busy = true;
-    const auto bytes = static_cast<std::uint32_t>(pkt.size());
-    const sim::Time tx_time =
-        sim::serialization_time(bytes, config_.port_rate_bps);
-    sched_.after(tx_time, [this, port, bytes, p = std::move(pkt)]() mutable {
-      if (ports_[port].tx) {
-        ports_[port].tx(std::move(p));
-      }
-      finish_transmit(port, bytes);
-    });
+    start_transmit(port, std::move(pkt));
   }
 }
 
-void EventSwitch::finish_transmit(std::uint16_t port, std::uint32_t bytes) {
+void EventSwitch::start_transmit(std::uint16_t port, net::Packet pkt) {
   PortState& ps = ports_[port];
-  ps.busy = false;
-  ++counters_.tx_packets;
-  counters_.tx_bytes += bytes;
-  observe(EventKind::kPacketTransmitted);
+  ps.bytes = static_cast<std::uint32_t>(pkt.size());
+  ps.departs =
+      sched_.now() + sim::serialization_time(ps.bytes, config_.port_rate_bps);
+  ps.owed = true;
+  if (ps.tx) {
+    schedule_completion(port, std::move(pkt));
+    return;
+  }
+  // A departure-stamped consumer takes the packet now. The departure then
+  // needs a callback only to raise the transmit event, or (try_transmit)
+  // to start a packet queued behind this one; otherwise counters() credits
+  // it once it has passed.
+  if (ps.link) {
+    ps.link(std::move(pkt), ps.departs);
+  }
+  if (deliver_[static_cast<std::size_t>(EventKind::kPacketTransmitted)]) {
+    schedule_completion(port, std::nullopt);
+  }
+}
+
+void EventSwitch::schedule_completion(std::uint16_t port,
+                                      std::optional<net::Packet> handoff) {
+  PortState& ps = ports_[port];
+  assert(ps.owed && !ps.completion);
+  ps.completion = true;
+  sched_.at(ps.departs, [this, port, p = std::move(handoff)]() mutable {
+    complete_transmit(port, std::move(p));
+  });
+}
+
+void EventSwitch::complete_transmit(std::uint16_t port,
+                                    std::optional<net::Packet> handoff) {
+  PortState& ps = ports_[port];
+  ps.completion = false;
+  if (handoff && ps.tx) {
+    ps.tx(std::move(*handoff));
+  }
+  credit(port);
   submit_if_enabled(
-      Event::transmitted(TransmitRecord{port, bytes, sched_.now()}));
+      Event::transmitted(TransmitRecord{port, ps.bytes, sched_.now()}));
   try_transmit(port);
+}
+
+void EventSwitch::credit(std::uint16_t port) const {
+  PortState& ps = ports_[port];
+  ps.owed = false;
+  ++counters_.tx_packets;
+  counters_.tx_bytes += ps.bytes;
+  ++counters_.observed[static_cast<std::size_t>(
+      EventKind::kPacketTransmitted)];
+  if (on_departure) {
+    on_departure(TransmitRecord{port, ps.bytes, ps.departs});
+  }
+}
+
+void EventSwitch::credit_departed() const {
+  const sim::Time now = sched_.now();
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    const PortState& ps = ports_[p];
+    if (ps.owed && !ps.completion && ps.departs <= now) {
+      credit(static_cast<std::uint16_t>(p));
+    }
+  }
 }
 
 }  // namespace edp::core

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <string>
 #include <vector>
@@ -108,12 +109,28 @@ class EventSwitch final : public EventContext {
   /// typically to read its state after a run). Calls program->on_attach.
   void set_program(EventProgram* program);
 
-  /// Connect port `port`'s transmit side (called with each outgoing packet
-  /// after serialization completes).
+  /// Connect port `port`'s transmit side to a completion-time consumer:
+  /// called with each outgoing packet from a callback at the instant
+  /// serialization completes. Replaces any consumer the port had.
   void connect_tx(std::uint16_t port, std::function<void(net::Packet)> tx);
 
-  /// Deliver a packet to port `port` (called by the attached link).
+  /// Connect port `port`'s transmit side to a departure-stamped consumer
+  /// (a Link or a cut-link ring): called with each outgoing packet when
+  /// serialization *starts*, together with its departure — the instant the
+  /// last bit leaves. The consumer must act on the packet only from the
+  /// departure on (a link decides up/down at it). Replaces any consumer
+  /// the port had.
+  void connect_link(std::uint16_t port,
+                    std::function<void(net::Packet, sim::Time)> link);
+
+  /// Deliver a packet to port `port`.
   void receive(std::uint16_t port, net::Packet packet);
+
+  /// receive() for a link or ring delivery callback that ends with this
+  /// call: the merger may run the slot the packet opens inline
+  /// (EventMerger::submit_arrival). A caller that keeps working afterwards
+  /// must use receive().
+  void arrive(std::uint16_t port, net::Packet packet);
 
   /// Link layer notification; raises a LinkStatusChange event.
   void set_link_status(std::uint16_t port, bool up);
@@ -132,6 +149,16 @@ class EventSwitch final : public EventContext {
 
   /// Data-plane -> control-plane messages (program punts).
   std::function<void(const ControlEventData&)> on_punt;
+
+  /// Observer of every departure (port, bytes, the instant the last bit
+  /// left), called once per transmitted packet when it is credited to
+  /// counters(): at or after the departure, not necessarily in time order.
+  /// Call credit_departures() before reading what it collected.
+  std::function<void(const TransmitRecord&)> on_departure;
+
+  /// Credit every departure at or before now() that no completion
+  /// callback will credit (see counters()).
+  void credit_departures() { credit_departed(); }
 
   /// Configure multicast group `group_id` (must be nonzero) to replicate
   /// to `ports`. A program selects it via std_meta.mcast_group; each
@@ -188,7 +215,14 @@ class EventSwitch final : public EventContext {
 
   const EventSwitchConfig& config() const { return config_; }
   std::uint32_t shard_id() const { return config_.shard_id; }
-  const SwitchCounters& counters() const { return counters_; }
+  /// Credits every departure at or before now() first: a port hands its
+  /// packet to a departure-stamped consumer when serialization starts and
+  /// schedules no completion unless something needs one (see
+  /// try_transmit), so counters() is where such a departure is counted.
+  const SwitchCounters& counters() const {
+    credit_departed();
+    return counters_;
+  }
   const EventMerger& merger() const { return merger_; }
   tm_::TrafficManager& traffic_manager() { return tm_; }
   const tm_::TrafficManager& traffic_manager() const { return tm_; }
@@ -205,16 +239,39 @@ class EventSwitch final : public EventContext {
  private:
   struct PortState {
     bool link_up = true;
-    bool busy = false;
+    /// The port's one consumer: completion-time (connect_tx) or
+    /// departure-stamped (connect_link).
     std::function<void(net::Packet)> tx;
+    std::function<void(net::Packet, sim::Time)> link;
+    /// The last packet put on the wire: departs at `departs`, and is
+    /// `owed` to the counters until credited. The port is busy while
+    /// now() < departs, or while a completion is scheduled for it.
+    sim::Time departs = sim::Time::zero();
+    std::uint32_t bytes = 0;
+    bool owed = false;
+    bool completion = false;  ///< a completion callback fires at departs
   };
 
   /// One pipeline slot: parse/dispatch the packet, deliver events, route.
   void process_slot(SlotWork&& work);
   void dispatch_event(const Event& ev);
   void route(pisa::Phv&& phv);
+  void stamp_arrival(std::uint16_t port, net::Packet& packet);
   void try_transmit(std::uint16_t port);
-  void finish_transmit(std::uint16_t port, std::uint32_t bytes);
+  /// Put `pkt` on the wire: stamp its departure and hand it over.
+  void start_transmit(std::uint16_t port, net::Packet pkt);
+  /// Schedule the port's completion callback at its departure; `handoff`
+  /// carries the packet for a completion-time consumer.
+  void schedule_completion(std::uint16_t port,
+                           std::optional<net::Packet> handoff);
+  /// The completion callback: hand-off, credit, transmit event, next packet.
+  void complete_transmit(std::uint16_t port,
+                         std::optional<net::Packet> handoff);
+  /// Count the port's owed departure in counters_ (and on_departure).
+  void credit(std::uint16_t port) const;
+  /// credit() every port whose departure has passed and that has no
+  /// completion scheduled (which would credit it itself).
+  void credit_departed() const;
   void observe(EventKind kind) {
     ++counters_.observed[static_cast<std::size_t>(kind)];
   }
@@ -234,11 +291,12 @@ class EventSwitch final : public EventContext {
   pisa::Parser parser_;
   pisa::Deparser deparser_;
   EventProgram* program_ = nullptr;
-  std::vector<PortState> ports_;
+  // Mutable for counters(), which credits departures that have passed.
+  mutable std::vector<PortState> ports_;
   std::vector<AggregatedRegister*> aggregated_;
   DispatchPlan plan_;
   std::array<bool, kNumEventKinds> deliver_{};
-  SwitchCounters counters_;
+  mutable SwitchCounters counters_;
   std::uint64_t next_trace_id_ = 1;
   std::uint64_t first_slot_cycle_ = 0;
   bool saw_slot_ = false;

@@ -37,7 +37,8 @@ class PacketBuilder {
   /// Append `n` deterministic payload bytes.
   PacketBuilder& payload(std::size_t n);
   /// Pad the final packet to at least `n` bytes (min Ethernet frame = 60
-  /// without FCS).
+  /// without FCS). Also reserves `n` bytes, so called before the layers it
+  /// sizes the buffer once for all of them.
   PacketBuilder& pad_to(std::size_t n);
 
   /// Finalize: patch IPv4 total_length + checksum and UDP length, then
@@ -45,7 +46,14 @@ class PacketBuilder {
   Packet build();
 
  private:
+  /// Take the builder's buffer from the pool if it has none yet.
+  void arm();
+  /// Grow the packet by `bytes` zeros at the end and return the old size
+  /// (the offset the new layer starts at).
+  std::size_t extend(std::size_t bytes);
+
   Packet pkt_;
+  bool armed_ = false;  ///< pkt_ holds a pooled buffer
   // Offsets of headers that need length/checksum back-patching; SIZE_MAX
   // when the layer is absent.
   std::size_t ipv4_off_;

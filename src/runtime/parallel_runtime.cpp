@@ -100,15 +100,15 @@ ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
 
     // Cut link: each side transmits into the directed channel toward the
     // peer's shard (parity chosen at push time); deliveries are injected at
-    // the next round's drain. The producer stamps the absolute arrival time
-    // (its now() + link delay).
+    // the next round's drain. Senders are departure-stamped: a packet is
+    // pushed when its serialization starts, stamped with its absolute
+    // arrival (departure + link delay >= now() + delay, so the lookahead
+    // still bounds it).
     const sim::Time delay = ls.config.delay;
 
     // B side is always a switch.
     core::EventSwitch& swb =
         shards_[sb].net->sw(shards_[sb].switch_local[ls.b]);
-    sim::Scheduler* sched_a = shards_[sa].sched.get();
-    sim::Scheduler* sched_b = shards_[sb].sched.get();
     const auto b_local = static_cast<std::uint32_t>(shards_[sb].switch_local[ls.b]);
     const std::uint16_t pb = ls.pb;
 
@@ -116,12 +116,14 @@ ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
       topo::Host& ha = shards_[sa].net->host(shards_[sa].host_local[ls.a]);
       const auto a_local =
           static_cast<std::uint32_t>(shards_[sa].host_local[ls.a]);
-      ha.connect_tx([this, sa, sb, sched_a, delay, b_local, pb](net::Packet p) {
-        push(sa, sb, Msg{sched_a->now() + delay, /*to_host=*/false, b_local,
-                         pb, std::move(p)});
+      ha.connect_tx([this, sa, sb, delay, b_local, pb](net::Packet p,
+                                                        sim::Time departure) {
+        push(sa, sb, Msg{departure + delay, /*to_host=*/false, b_local, pb,
+                         std::move(p)});
       });
-      swb.connect_tx(pb, [this, sb, sa, sched_b, delay, a_local](net::Packet p) {
-        push(sb, sa, Msg{sched_b->now() + delay, /*to_host=*/true, a_local, 0,
+      swb.connect_link(pb, [this, sb, sa, delay, a_local](net::Packet p,
+                                                          sim::Time departure) {
+        push(sb, sa, Msg{departure + delay, /*to_host=*/true, a_local, 0,
                          std::move(p)});
       });
     } else {
@@ -130,13 +132,15 @@ ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
       const auto a_local =
           static_cast<std::uint32_t>(shards_[sa].switch_local[ls.a]);
       const std::uint16_t pa = ls.pa;
-      swa.connect_tx(pa, [this, sa, sb, sched_a, delay, b_local, pb](net::Packet p) {
-        push(sa, sb, Msg{sched_a->now() + delay, /*to_host=*/false, b_local,
-                         pb, std::move(p)});
+      swa.connect_link(pa, [this, sa, sb, delay, b_local,
+                            pb](net::Packet p, sim::Time departure) {
+        push(sa, sb, Msg{departure + delay, /*to_host=*/false, b_local, pb,
+                         std::move(p)});
       });
-      swb.connect_tx(pb, [this, sb, sa, sched_b, delay, a_local, pa](net::Packet p) {
-        push(sb, sa, Msg{sched_b->now() + delay, /*to_host=*/false, a_local,
-                         pa, std::move(p)});
+      swb.connect_link(pb, [this, sb, sa, delay, a_local,
+                            pa](net::Packet p, sim::Time departure) {
+        push(sb, sa, Msg{departure + delay, /*to_host=*/false, a_local, pa,
+                         std::move(p)});
       });
     }
   }
@@ -304,7 +308,7 @@ void ParallelRuntime::drain_inbound(std::size_t shard, std::size_t parity) {
       const std::uint16_t port = m.port;
       sh.inject_burst.push_back(sim::Scheduler::BatchItem{
           m.deliver, [s, port, pkt = std::move(m.pkt)]() mutable {
-            s->receive(port, std::move(pkt));
+            s->arrive(port, std::move(pkt));  // ends the callback
           }});
     }
   };

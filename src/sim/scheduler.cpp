@@ -10,6 +10,14 @@ namespace {
 // Pre-sizing the slot/queue vectors puts the kernel in its zero-allocation
 // steady state immediately for all but the largest event populations.
 constexpr std::size_t kInitialCapacity = 1024;
+
+/// Inverted order for the same-tick min-heap (std::push_heap builds
+/// max-heaps).
+struct EntryLater {
+  bool operator()(const QueueEntry& a, const QueueEntry& b) const {
+    return entry_earlier(b, a);
+  }
+};
 }  // namespace
 
 Scheduler::Scheduler(SchedulerOptions opts)
@@ -163,7 +171,7 @@ void Scheduler::advance_cursor(std::uint64_t tick) {
 }
 
 std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
-                                 std::size_t budget, bool& stopped) {
+                                 bool& stopped) {
   std::vector<QueueEntry>& burst = burst_scratch_;
   burst.clear();
   // Drain BOTH tiers at t0. Normally the wheel alone holds this tick, but
@@ -206,11 +214,12 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
   // order the one-at-a-time heap would have produced.
   std::vector<QueueEntry>& st = sametick_scratch_;
   assert(st.empty());
-  const auto st_later = [](const QueueEntry& a, const QueueEntry& b) {
-    return entry_earlier(b, a);  // inverted: std::push_heap builds max-heaps
-  };
+  const EntryLater st_later;
 
-  std::size_t i = 0;
+  // burst_next_ is a member so try_advance() can look past the callback
+  // that is running; it only ever skips entries this loop would skip.
+  std::size_t& i = burst_next_;
+  i = 0;
   std::size_t n_fired = 0;
   stopped = false;
   for (;;) {
@@ -231,7 +240,7 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
       }
       continue;
     }
-    if ((deadline != nullptr && e.when > *deadline) || n_fired >= budget) {
+    if ((deadline != nullptr && e.when > *deadline) || work_left_ == 0) {
       // Deadline or budget cuts the burst mid-tick: re-queue the unfired
       // remainder (still pending, untouched) and let the caller resume.
       for (std::size_t j = i; j < burst.size(); ++j) {
@@ -267,7 +276,10 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
     now_ = e.when;
     ++executed_;
     ++n_fired;
+    --work_left_;
+    firing_ = true;
     s.fn();
+    firing_ = false;
     // Re-index: the callback may have scheduled events and grown slots_.
     slots_[e.slot].fn.reset();
     free_slots_.push_back(e.slot);
@@ -290,11 +302,72 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
   return n_fired;
 }
 
+bool Scheduler::live_entry_due_by(Time t) {
+  const auto live = [this](const QueueEntry& e) {
+    const Slot& s = slots_[e.slot];
+    return s.live && s.gen == e.gen;
+  };
+  // The rest of the burst is sorted: its first live entry is its earliest.
+  const std::vector<QueueEntry>& burst = burst_scratch_;
+  while (burst_next_ < burst.size() && !live(burst[burst_next_])) {
+    ++burst_next_;
+  }
+  if (burst_next_ < burst.size() && burst[burst_next_].when <= t) {
+    return true;
+  }
+  std::vector<QueueEntry>& st = sametick_scratch_;
+  while (!st.empty() && !live(st[0])) {
+    std::pop_heap(st.begin(), st.end(), EntryLater{});
+    st.pop_back();
+  }
+  if (!st.empty() && st[0].when <= t) {
+    return true;
+  }
+  // Wheel buckets from the cursor through t's tick — including the current
+  // tick's bucket, where entries this callback minted wait until it returns.
+  // Buckets are unsorted, so each occupied one is scanned.
+  if (use_wheel_ && wheel_.count() > 0) {
+    const std::uint64_t hi = wheel_.tick_of(t);
+    for (std::optional<std::uint64_t> tick =
+             wheel_.first_occupied_in(wheel_.cursor(), hi);
+         tick;
+         tick = *tick < hi ? wheel_.first_occupied_in(*tick + 1, hi)
+                           : std::nullopt) {
+      bool due = false;
+      wheel_.visit_bucket(*tick, [&](const QueueEntry& e) {
+        due = due || (e.when <= t && live(e));
+      });
+      if (due) {
+        return true;
+      }
+    }
+  }
+  while (!heap_.empty() && !live(heap_[0])) {
+    heap_pop();
+  }
+  return !heap_.empty() && heap_[0].when <= t;
+}
+
+bool Scheduler::try_advance(Time t) {
+  if (!firing_ || work_left_ == 0 || t < now_ ||
+      (has_deadline_ && t > deadline_) || live_entry_due_by(t)) {
+    return false;
+  }
+  --work_left_;
+  now_ = t;
+  return true;
+}
+
 std::size_t Scheduler::run_core(const Time* deadline, std::size_t max_events) {
+  has_deadline_ = deadline != nullptr;
+  if (has_deadline_) {
+    deadline_ = *deadline;
+  }
+  work_left_ = max_events;
   std::size_t fired = 0;
   const std::uint64_t target_tick =
       deadline != nullptr ? wheel_.tick_of(*deadline) : 0;
-  while (fired < max_events) {
+  while (work_left_ > 0) {
     // Take the min tick across both tiers. Heap ticks are normally
     // >= cursor + kSlots, making the wheel candidate win, but entries
     // scheduled below the cursor (see fire_tick) sit in the heap and can
@@ -320,7 +393,7 @@ std::size_t Scheduler::run_core(const Time* deadline, std::size_t max_events) {
     }
     advance_cursor(t0);
     bool stopped = false;
-    fired += fire_tick(t0, deadline, max_events - fired, stopped);
+    fired += fire_tick(t0, deadline, stopped);
     if (stopped) {
       break;
     }

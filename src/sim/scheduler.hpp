@@ -105,6 +105,24 @@ class Scheduler {
   /// serializing — the mod_timer reset pattern cancels in dense batches.
   std::size_t cancel_batch(const EventId* ids, std::size_t n);
 
+  /// Inline continuation, callable only from inside a firing callback:
+  /// moves now() to `t` and returns true iff the callback may run, in
+  /// place, work that it would otherwise schedule at `t` — that is, iff no
+  /// live entry is due at or before `t` anywhere (the rest of the current
+  /// burst, its same-tick arrivals, entries this callback minted, the
+  /// wheel, the heap) and `t` lies within the running run_until()
+  /// deadline. A callback scheduled at `t` now would carry the newest
+  /// sequence number, so under exactly those conditions it would be the
+  /// next to fire: running it inline keeps the (time, seq) order. Returns
+  /// false (now() unchanged) otherwise, outside a callback, for t < now(),
+  /// or once the running run()'s max_events budget is spent (a granted
+  /// advance counts against it, so inline work that keeps re-arming itself
+  /// stays bounded). The answer depends only on the pending set, so it is the same
+  /// with use_wheel=false. Work run this way is not a callback: executed()
+  /// does not count it. The caller must do nothing after the inline work
+  /// that assumes the old now().
+  bool try_advance(Time t);
+
   /// Run every event with time <= `deadline`; leaves now() == deadline.
   /// Returns the number of callbacks executed (bounded-horizon execution:
   /// the parallel runtime calls this once per conservative time window).
@@ -114,8 +132,10 @@ class Scheduler {
   /// Lazily discards cancelled entries it has to step over.
   std::optional<Time> next_event_time();
 
-  /// Run until the queue drains (or `max_events` fire, as a runaway guard).
-  /// Returns the number of events executed.
+  /// Run until the queue drains (or `max_events` units of work are done, as
+  /// a runaway guard: each callback and each inline continuation that
+  /// try_advance() grants is one unit). Returns the number of callbacks
+  /// executed.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
   /// True if no pending (uncancelled) events remain.
@@ -125,7 +145,8 @@ class Scheduler {
   /// immediately, not when their queue entry is lazily collected.
   std::size_t pending() const { return live_count_; }
 
-  /// Total callbacks executed since construction (diagnostics).
+  /// Total callbacks executed since construction (diagnostics). Work run
+  /// inline through try_advance() is not a callback and is not counted.
   std::uint64_t executed() const { return executed_; }
 
   /// Fire-burst diagnostics: bursts() counts per-tick drain cycles;
@@ -173,12 +194,18 @@ class Scheduler {
   /// Drain tick `t0`'s entries into the scratch burst and fire them in
   /// (when, seq) order, merging in same-tick entries scheduled by the
   /// callbacks themselves. Respects `deadline` (events strictly after it
-  /// are re-queued) and `budget`; sets `stopped` when either cut the burst.
+  /// are re-queued) and the run's work budget; sets `stopped` when either
+  /// cut the burst.
   std::size_t fire_tick(std::uint64_t t0, const Time* deadline,
-                        std::size_t budget, bool& stopped);
+                        bool& stopped);
 
   /// Shared engine behind run()/run_until().
   std::size_t run_core(const Time* deadline, std::size_t max_events);
+
+  /// True iff a live entry is due at or before `t` (try_advance's test).
+  /// Collects stale entries it steps over at the heads of the burst, the
+  /// same-tick heap and the overflow heap.
+  bool live_entry_due_by(Time t);
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
@@ -190,6 +217,11 @@ class Scheduler {
   std::vector<QueueEntry> heap_;           ///< far-future overflow tier
   std::vector<QueueEntry> burst_scratch_;  ///< fire_tick working set
   std::vector<QueueEntry> sametick_scratch_;  ///< min-heap of same-tick adds
+  std::size_t burst_next_ = 0;   ///< next unfired burst_scratch_ index
+  bool firing_ = false;          ///< inside a callback (try_advance allowed)
+  std::size_t work_left_ = 0;    ///< the running run()'s remaining budget
+  bool has_deadline_ = false;    ///< the running run_until() deadline
+  Time deadline_ = Time::zero();
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;  ///< LIFO: hottest slot reused first
 };

@@ -29,6 +29,7 @@
 // O(1) plus an occupancy-bitmap bit flip.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -143,33 +144,37 @@ class WheelTier {
     release(s);
   }
 
-  /// Earliest occupied tick at or after the cursor; nullopt when empty.
-  /// Bitmap scan: one countr_zero per 64 buckets, so <= 64 words total.
-  std::optional<std::uint64_t> next_occupied_tick() const {
+  /// Earliest occupied tick in [lo, hi]; nullopt when there is none. Pre:
+  /// lo >= cursor(); hi is clamped to the horizon. Scans only the bitmap
+  /// words covering the range, so a short range costs a word or two.
+  std::optional<std::uint64_t> first_occupied_in(std::uint64_t lo,
+                                                 std::uint64_t hi) const {
+    assert(lo >= cursor_);
     if (count_ == 0) {
       return std::nullopt;
     }
-    const std::size_t sc = cursor_ & kMask;
-    std::size_t w = sc >> 6;
-    std::uint64_t word = words_[w] & (~std::uint64_t{0} << (sc & 63));
-    for (std::size_t step = 0;; ++step) {
+    hi = std::min<std::uint64_t>(hi, cursor_ + kSlots - 1);
+    for (std::uint64_t t = lo; t <= hi;) {
+      // Slots s..(s | 63) share a word and map to consecutive ticks.
+      const std::size_t s = t & kMask;
+      const std::uint64_t word = words_[s >> 6] >> (s & 63);
       if (word != 0) {
-        const std::size_t s =
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-        return cursor_ + ((s - sc) & kMask);
+        const std::uint64_t hit =
+            t + static_cast<std::uint64_t>(std::countr_zero(word));
+        if (hit <= hi) {
+          return hit;
+        }
+        return std::nullopt;
       }
-      if (step == kWords) {
-        break;
-      }
-      w = (w + 1) & (kWords - 1);
-      word = words_[w];
-      if (step == kWords - 1) {
-        // Wrapped back to the start word: only its low bits remain unseen.
-        word &= ~(~std::uint64_t{0} << (sc & 63));
-      }
+      t += 64 - (s & 63);
     }
-    assert(false && "count_ > 0 but no occupancy bit set");
     return std::nullopt;
+  }
+
+  /// Earliest occupied tick at or after the cursor; nullopt when empty.
+  /// Bitmap scan: one countr_zero per 64 buckets, so <= 65 words total.
+  std::optional<std::uint64_t> next_occupied_tick() const {
+    return first_occupied_in(cursor_, cursor_ + kSlots - 1);
   }
 
  private:

@@ -1,5 +1,6 @@
 #include "topo/host.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/flow.hpp"
@@ -10,27 +11,13 @@ Host::Host(sim::Scheduler& sched, Config config)
     : sched_(sched), config_(std::move(config)) {}
 
 void Host::send(net::Packet packet) {
-  tx_queue_.push_back(std::move(packet));
-  pump_tx();
-}
-
-void Host::pump_tx() {
-  if (tx_busy_ || tx_queue_.empty()) {
-    return;
+  const sim::Time start = std::max(sched_.now(), tx_idle_at_);
+  tx_idle_at_ =
+      start + sim::serialization_time(packet.size(), config_.nic_rate_bps);
+  ++tx_packets_;
+  if (tx_) {
+    tx_(std::move(packet), tx_idle_at_);
   }
-  tx_busy_ = true;
-  net::Packet pkt = std::move(tx_queue_.front());
-  tx_queue_.pop_front();
-  const sim::Time tx_time =
-      sim::serialization_time(pkt.size(), config_.nic_rate_bps);
-  sched_.after(tx_time, [this, p = std::move(pkt)]() mutable {
-    ++tx_packets_;
-    if (tx_) {
-      tx_(std::move(p));
-    }
-    tx_busy_ = false;
-    pump_tx();
-  });
 }
 
 void Host::receive(net::Packet packet) {

@@ -24,9 +24,13 @@ std::size_t Network::connect_host(std::size_t h, std::size_t s,
   core::EventSwitch& swt = *switches_[s];
 
   // Host on side A, switch on side B.
-  host.connect_tx([&link](net::Packet p) { link.send_a_to_b(std::move(p)); });
+  // Deliveries end their callback, so they enter the switch through
+  // arrive(): the slot a packet opens may run inline.
+  host.connect_tx([&link](net::Packet p, sim::Time departure) {
+    link.send_a_to_b(std::move(p), departure);
+  });
   link.end_b().deliver = [&swt, port](net::Packet p) {
-    swt.receive(port, std::move(p));
+    swt.arrive(port, std::move(p));
   };
   link.end_b().status = [&swt, port](bool up) {
     swt.set_link_status(port, up);
@@ -34,8 +38,8 @@ std::size_t Network::connect_host(std::size_t h, std::size_t s,
   link.end_a().deliver = [&host](net::Packet p) {
     host.receive(std::move(p));
   };
-  swt.connect_tx(port, [&link](net::Packet p) {
-    link.send_b_to_a(std::move(p));
+  swt.connect_link(port, [&link](net::Packet p, sim::Time departure) {
+    link.send_b_to_a(std::move(p), departure);
   });
   return links_.size() - 1;
 }
@@ -72,13 +76,17 @@ std::size_t Network::connect_switches(std::size_t s1, std::uint16_t p1,
   core::EventSwitch& a = *switches_[s1];
   core::EventSwitch& b = *switches_[s2];
 
-  a.connect_tx(p1, [&link](net::Packet p) { link.send_a_to_b(std::move(p)); });
-  b.connect_tx(p2, [&link](net::Packet p) { link.send_b_to_a(std::move(p)); });
+  a.connect_link(p1, [&link](net::Packet p, sim::Time departure) {
+    link.send_a_to_b(std::move(p), departure);
+  });
+  b.connect_link(p2, [&link](net::Packet p, sim::Time departure) {
+    link.send_b_to_a(std::move(p), departure);
+  });
   link.end_a().deliver = [&a, p1](net::Packet p) {
-    a.receive(p1, std::move(p));
+    a.arrive(p1, std::move(p));
   };
   link.end_b().deliver = [&b, p2](net::Packet p) {
-    b.receive(p2, std::move(p));
+    b.arrive(p2, std::move(p));
   };
   link.end_a().status = [&a, p1](bool up) { a.set_link_status(p1, up); };
   link.end_b().status = [&b, p2](bool up) { b.set_link_status(p2, up); };

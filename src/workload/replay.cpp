@@ -13,6 +13,7 @@
 #include "apps/fast_reroute.hpp"
 #include "apps/microburst.hpp"
 #include "core/aggregated_register.hpp"
+#include "net/flow.hpp"
 #include "runtime/parallel_runtime.hpp"
 #include "sim/heap_count.hpp"
 #include "topo/routing.hpp"
@@ -41,6 +42,23 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// SplitMix64 finalizer: a full-avalanche 64-bit mix.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// One term of the timing digest: `stream` separates sink receives (0)
+/// from DUT departures (1).
+std::uint64_t timing_term(std::uint64_t stream, sim::Time t,
+                          std::uint64_t bytes, std::uint64_t port) {
+  return mix64(static_cast<std::uint64_t>(t.ps()) ^
+               mix64((stream << 56) ^ (port << 32) ^ bytes));
 }
 
 std::uint64_t mix_switch(std::uint64_t h, const core::EventSwitch& sw) {
@@ -181,6 +199,22 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
     sources.back()->start();
   }
 
+  // Timing digest: one sum per stream, since the sink and the DUT can sit
+  // on different shards (and threads). Sums commute, so neither the
+  // interleaving of the two streams nor the order in which the DUT credits
+  // its departures can move the result.
+  std::uint64_t sink_timing = 0;
+  std::uint64_t dut_timing = 0;
+  sim::Scheduler& sink_sched = rt.scheduler_of_host(map.sink_host);
+  rt.host(map.sink_host).on_receive = [&sink_timing,
+                                       &sink_sched](const net::Packet& p) {
+    sink_timing += timing_term(0, sink_sched.now(), p.size(),
+                               net::extract_five_tuple(p).dst_port);
+  };
+  rt.sw(map.dut).on_departure = [&dut_timing](const core::TransmitRecord& r) {
+    dut_timing += timing_term(1, r.when, r.pkt_len, r.port);
+  };
+
   // Failure schedule. Host links only: they are shard-local under every
   // plan (the runtime cannot fail a cut link), and flapping the DUT's own
   // host links is what raises LinkStatusChange events at the app.
@@ -259,6 +293,8 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
     h = mix_host(h, rt.host(host));
   }
   out.digest = h;
+  rt.sw(map.dut).credit_departures();  // the departures still owed
+  out.timing_digest = sink_timing + dut_timing;
 
   out.optimized = options.optimize;
   out.transforms_applied = transforms_applied;

@@ -41,13 +41,22 @@ struct ScenarioOutcome {
   std::size_t shards = 1;
 
   std::uint64_t digest = 0;          ///< shard-invariant outcome digest
+  /// Order-independent fold (a sum of 64-bit mixes) of (time, bytes, port)
+  /// over every sink receive and every DUT departure: pins *when* packets
+  /// move, which `digest` (end-of-run counters) cannot see. A sum, not one
+  /// interleaved hash, so it depends on neither stream's interleaving with
+  /// the other nor the order in which departures are credited.
+  std::uint64_t timing_digest = 0;
   std::uint64_t flows_started = 0;
   std::uint64_t flows_completed = 0;
   std::uint64_t packets_sent = 0;    ///< by the storm sources
   std::uint64_t bytes_sent = 0;
   std::uint64_t incast_waves = 0;
   std::uint64_t bursts = 0;
-  std::uint64_t events = 0;          ///< scheduler callbacks executed
+  /// Scheduler callbacks executed — not slots: inline merger slots and
+  /// completion-free transmits cost none, and the count differs between
+  /// shard counts (the digests do not).
+  std::uint64_t events = 0;
   std::uint64_t sink_rx_packets = 0;
   std::uint64_t dut_tx_packets = 0;
   std::uint64_t dut_program_drops = 0;

@@ -796,6 +796,200 @@ TEST(EventSwitch, TransmitPacingAtLineRate) {
   EXPECT_EQ(tx_times[1] - tx_times[0], sim::Time::micros(12));
 }
 
+// ---- departure-stamped transmit --------------------------------------------
+//
+// A port hands its packet to a connect_link consumer when serialization
+// starts, stamped with the departure, and schedules a completion only when
+// something needs one. Everything observable must stay where a completion
+// callback at the departure put it.
+
+/// 1500 B at 10 Gb/s.
+constexpr sim::Time kSer1500 = sim::Time::nanos(1200);
+
+TEST(EventSwitch, CountersAreCreditedAtTheDeparture) {
+  // The same packet through a departure-stamped and a completion-time
+  // consumer: counters() must read the same before, at and after the
+  // departure.
+  sim::Scheduler sched_link, sched_tx;
+  EventSwitch sw_link(sched_link, switch_cfg());
+  EventSwitch sw_tx(sched_tx, switch_cfg());
+  RecordingProgram prog_link(1), prog_tx(1);
+  sw_link.set_program(&prog_link);
+  sw_tx.set_program(&prog_tx);
+  sim::Time departure = sim::Time::zero();
+  sw_link.connect_link(1, [&](net::Packet, sim::Time d) { departure = d; });
+  sw_tx.connect_tx(1, [](net::Packet) {});
+  sw_link.receive(0, test_packet(1500));
+  sw_tx.receive(0, test_packet(1500));
+  // The slot runs at t=0; serialization starts there.
+  sched_link.run_until(sim::Time::nanos(1));
+  sched_tx.run_until(sim::Time::nanos(1));
+  ASSERT_EQ(departure, kSer1500);
+  const auto transmitted = static_cast<std::size_t>(
+      EventKind::kPacketTransmitted);
+  for (const sim::Time probe :
+       {sim::Time::nanos(600), departure - sim::Time::picos(1), departure,
+        departure + sim::Time::micros(1)}) {
+    sched_link.run_until(probe);
+    sched_tx.run_until(probe);
+    const SwitchCounters& a = sw_link.counters();
+    const SwitchCounters& b = sw_tx.counters();
+    EXPECT_EQ(a.tx_packets, b.tx_packets) << probe.to_string();
+    EXPECT_EQ(a.tx_bytes, b.tx_bytes) << probe.to_string();
+    EXPECT_EQ(a.observed[transmitted], b.observed[transmitted])
+        << probe.to_string();
+    EXPECT_EQ(a.tx_packets, probe >= departure ? 1u : 0u)
+        << probe.to_string();
+  }
+  EXPECT_EQ(sw_link.counters().tx_bytes, 1500u);
+}
+
+TEST(EventSwitch, TransmitEventIsStampedAtTheDeparture) {
+  class TxRecorder : public RecordingProgram {
+   public:
+    TxRecorder() : RecordingProgram(1) {}
+    void on_transmit(const TransmitRecord& r, EventContext& ctx) override {
+      records.push_back(r);
+      handled_at.push_back(ctx.now());
+    }
+    std::vector<TransmitRecord> records;
+    std::vector<sim::Time> handled_at;
+  };
+  sim::Scheduler sched;
+  EventSwitch sw(sched, switch_cfg());
+  TxRecorder prog;
+  sw.set_program(&prog);
+  sw.enable_event(EventKind::kPacketTransmitted, true);
+  std::vector<sim::Time> departures;
+  sw.connect_link(1, [&](net::Packet, sim::Time d) { departures.push_back(d); });
+  sw.receive(0, test_packet(1500));
+  sched.run(10'000);
+  ASSERT_EQ(departures.size(), 1u);
+  ASSERT_EQ(prog.records.size(), 1u);
+  EXPECT_EQ(prog.records[0].when, departures[0]);
+  EXPECT_EQ(prog.records[0].port, 1);
+  EXPECT_EQ(prog.records[0].pkt_len, 1500u);
+  EXPECT_GE(prog.handled_at[0], departures[0]);  // rides a later slot
+
+  // Enabled while a packet is on the wire: that packet raises it too.
+  sw.enable_event(EventKind::kPacketTransmitted, false);
+  sw.receive(0, test_packet(1500));
+  sched.run_until(sched.now() + sim::Time::nanos(600));
+  ASSERT_EQ(departures.size(), 2u);
+  sw.enable_event(EventKind::kPacketTransmitted, true);
+  sched.run(10'000);
+  ASSERT_EQ(prog.records.size(), 2u);
+  EXPECT_EQ(prog.records[1].when, departures[1]);
+}
+
+TEST(EventSwitch, CompletionTimeConsumerSeesTheDeparture) {
+  // Spaced packets (nothing queued behind): a connect_tx consumer costs
+  // exactly one callback per packet over a connect_link one, and is called
+  // at the stamped departure.
+  constexpr int kPackets = 5;
+  const auto run = [](bool completion_time, std::vector<sim::Time>& seen) {
+    sim::Scheduler sched;
+    EventSwitch sw(sched, switch_cfg());
+    RecordingProgram prog(1);
+    sw.set_program(&prog);
+    if (completion_time) {
+      sw.connect_tx(1, [&](net::Packet) { seen.push_back(sched.now()); });
+    } else {
+      sw.connect_link(1, [&](net::Packet, sim::Time d) { seen.push_back(d); });
+    }
+    for (int i = 0; i < kPackets; ++i) {
+      sched.at(sim::Time::micros(10 * i),
+               [&sw] { sw.receive(0, test_packet(1500)); });
+    }
+    sched.run(100'000);
+    return sched.executed();
+  };
+  std::vector<sim::Time> at_completion, stamped;
+  const std::uint64_t with_completions = run(true, at_completion);
+  const std::uint64_t stamped_only = run(false, stamped);
+  EXPECT_EQ(at_completion, stamped);
+  ASSERT_EQ(stamped.size(), static_cast<std::size_t>(kPackets));
+  EXPECT_EQ(with_completions - stamped_only,
+            static_cast<std::uint64_t>(kPackets));
+}
+
+TEST(EventSwitch, PacketQueuedBehindStartsAtTheDeparture) {
+  // The second packet is enqueued while the first is on the wire: the
+  // port schedules a completion for it, and it starts at the departure.
+  sim::Scheduler sched;
+  EventSwitch sw(sched, switch_cfg());
+  RecordingProgram prog(1);
+  sw.set_program(&prog);
+  std::vector<sim::Time> departures;
+  sw.connect_link(1, [&](net::Packet, sim::Time d) { departures.push_back(d); });
+  sw.receive(0, test_packet(1500));
+  sched.at(sim::Time::nanos(300), [&] { sw.receive(0, test_packet(1500)); });
+  sched.run(10'000);
+  ASSERT_EQ(departures.size(), 2u);
+  EXPECT_EQ(departures[1] - departures[0], kSer1500);
+  // Nothing is scheduled at the last departure, so run() stops short of
+  // it; the counters credit it once time reaches it.
+  EXPECT_EQ(sw.counters().tx_packets, 1u);
+  sched.run_until(departures[1]);
+  EXPECT_EQ(sw.counters().tx_packets, 2u);
+}
+
+TEST(EventSwitch, ConnectTxReplacesTheLinkConsumer) {
+  sim::Scheduler sched;
+  EventSwitch sw(sched, switch_cfg());
+  RecordingProgram prog(1);
+  sw.set_program(&prog);
+  int via_link = 0, via_tx = 0;
+  sw.connect_link(1, [&](net::Packet, sim::Time) { ++via_link; });
+  sw.connect_tx(1, [&](net::Packet) { ++via_tx; });
+  sw.receive(0, test_packet());
+  sched.run(10'000);
+  EXPECT_EQ(via_link, 0);
+  EXPECT_EQ(via_tx, 1);
+  // And the other way round.
+  sw.connect_link(1, [&](net::Packet, sim::Time) { ++via_link; });
+  sw.receive(0, test_packet());
+  sched.run(10'000);
+  EXPECT_EQ(via_link, 1);
+  EXPECT_EQ(via_tx, 1);
+}
+
+TEST(EventSwitch, ReceiveFromAContinuingCallbackNeverRunsASlotInline) {
+  // receive() leaves the slot to the scheduler: the caller keeps its now().
+  // arrive() — the entry for delivery callbacks that end with it — may run
+  // the slot in place, on the clock grid, when nothing else is due first.
+  sim::Scheduler sched;
+  EventSwitch sw(sched, switch_cfg());  // 5 ns cycle, phase 0
+  RecordingProgram prog(1);
+  sw.set_program(&prog);
+  sw.connect_link(1, [](net::Packet, sim::Time) {});
+  std::uint64_t slots_after = 0;
+  sim::Time now_after = sim::Time::zero();
+  sched.at(sim::Time::nanos(1), [&] {
+    sw.receive(0, test_packet());
+    slots_after = sw.merger().slots_total();
+    now_after = sched.now();
+  });
+  sched.run(10'000);
+  EXPECT_EQ(slots_after, 0u);
+  EXPECT_EQ(now_after, sim::Time::nanos(1));
+  EXPECT_EQ(prog.ingress, 1);
+  // The packet's slot, then one carrier slot for its enqueue and dequeue
+  // events.
+  ASSERT_EQ(sw.merger().slots_total(), 2u);
+
+  sched.at(sim::Time::micros(10) + sim::Time::nanos(1), [&] {
+    sw.arrive(0, test_packet());
+    slots_after = sw.merger().slots_total();
+    now_after = sched.now();
+  });
+  sched.run(10'000);
+  // Both slots ran inline, on the grid points after the arrival.
+  EXPECT_EQ(slots_after, 4u);
+  EXPECT_EQ(now_after, sim::Time::micros(10) + sim::Time::nanos(10));
+  EXPECT_EQ(prog.ingress, 2);
+}
+
 TEST(EventSwitch, DownLinkHoldsTraffic) {
   sim::Scheduler sched;
   EventSwitch sw(sched, switch_cfg());

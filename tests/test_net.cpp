@@ -2,6 +2,8 @@
 // flow identification, and the packet builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <utility>
 
 #include "net/address.hpp"
@@ -331,6 +333,35 @@ TEST(PacketBuilder, BuildsConsistentUdpPacket) {
       UdpHeader::decode(p, EthernetHeader::kSize + Ipv4Header::kSize);
   EXPECT_EQ(udp.length,
             500 - EthernetHeader::kSize - Ipv4Header::kSize);
+}
+
+TEST(PacketBuilder, MakeUdpPacketEqualsLayeredBuild) {
+  // payload() copies its ramp from a table; the reference writes it one
+  // byte at a time into a header-only build padded to the same size, at
+  // every size including those below the 42-byte header stack (which round
+  // up to it). One builder is reused throughout, so a builder re-armed
+  // after build() must produce the same bytes as a fresh one.
+  constexpr std::size_t kHeaders =
+      EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize;
+  const Ipv4Address src(10, 1, 2, 3);
+  const Ipv4Address dst(10, 4, 5, 6);
+  PacketBuilder reused;
+  for (std::size_t size = 0; size <= 3000; ++size) {
+    const Packet fast = make_udp_packet(src, dst, 4242, 20000, size);
+    Packet layered = reused
+                         .ethernet(MacAddress::from_u64(0x020000000001),
+                                   MacAddress::from_u64(0x020000000002))
+                         .ipv4(src, dst, kIpProtoUdp)
+                         .udp(4242, 20000)
+                         .pad_to(size)
+                         .build();
+    for (std::size_t i = kHeaders; i < layered.size(); ++i) {
+      layered.set_u8(i, static_cast<std::uint8_t>(i - kHeaders));
+    }
+    ASSERT_TRUE(std::equal(fast.bytes().begin(), fast.bytes().end(),
+                           layered.bytes().begin(), layered.bytes().end()))
+        << "size " << size;
+  }
 }
 
 TEST(PacketBuilder, PadToMinimumFrame) {

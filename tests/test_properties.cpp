@@ -529,19 +529,19 @@ TEST_P(ReliableLoss, ExactInOrderDeliveryAtAnyLossRate) {
   topo::Host rx(sched, hc);
   sim::Random drop_rng(static_cast<std::uint64_t>(loss * 1000) + 5);
   // Lossy wire in both directions with 10us delay.
-  tx.connect_tx([&](net::Packet p) {
+  tx.connect_tx([&](net::Packet p, sim::Time departure) {
     if (drop_rng.chance(loss)) {
       return;
     }
-    sched.after(sim::Time::micros(10),
-                [&rx, q = std::move(p)]() mutable { rx.receive(std::move(q)); });
+    sched.at(departure + sim::Time::micros(10),
+             [&rx, q = std::move(p)]() mutable { rx.receive(std::move(q)); });
   });
-  rx.connect_tx([&](net::Packet p) {
+  rx.connect_tx([&](net::Packet p, sim::Time departure) {
     if (drop_rng.chance(loss)) {
       return;
     }
-    sched.after(sim::Time::micros(10),
-                [&tx, q = std::move(p)]() mutable { tx.receive(std::move(q)); });
+    sched.at(departure + sim::Time::micros(10),
+             [&tx, q = std::move(p)]() mutable { tx.receive(std::move(q)); });
   });
 
   topo::ReliableConfig rc;

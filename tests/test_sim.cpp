@@ -676,6 +676,143 @@ TEST(Scheduler, ScheduleAfterDrainingStaleBucketMakesProgress) {
   EXPECT_EQ(fired, 1);
 }
 
+// ---- try_advance: inline continuation ------------------------------------------
+//
+// Every case runs on both tiers: the answer depends only on the pending set.
+
+class TryAdvance : public ::testing::TestWithParam<bool> {
+ protected:
+  Scheduler sched{SchedulerOptions{GetParam()}};
+};
+
+TEST_P(TryAdvance, RefusesOutsideACallback) {
+  EXPECT_FALSE(sched.try_advance(Time::nanos(10)));
+  EXPECT_EQ(sched.now(), Time::zero());
+}
+
+TEST_P(TryAdvance, MovesNowWhenNothingIsDue) {
+  std::vector<Time> seen;
+  sched.at(Time::nanos(10), [&] {
+    EXPECT_FALSE(sched.try_advance(Time::nanos(5)));  // the past
+    EXPECT_TRUE(sched.try_advance(Time::nanos(20)));
+    seen.push_back(sched.now());
+  });
+  sched.at(Time::nanos(21), [&] { seen.push_back(sched.now()); });
+  EXPECT_EQ(sched.run(), 2u);  // inline work is not a callback
+  EXPECT_EQ(seen, (std::vector<Time>{Time::nanos(20), Time::nanos(21)}));
+}
+
+TEST_P(TryAdvance, RefusesWhenAnEntryIsDueAtOrBeforeT) {
+  // The entry at exactly t was minted first, so it fires first: refuse.
+  bool checked = false;
+  sched.at(Time::nanos(10), [&] {
+    EXPECT_FALSE(sched.try_advance(Time::nanos(30)));
+    EXPECT_FALSE(sched.try_advance(Time::nanos(40)));
+    EXPECT_TRUE(sched.try_advance(Time::nanos(29)));
+    checked = true;
+  });
+  sched.at(Time::nanos(30), [] {});
+  sched.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST_P(TryAdvance, SeesTheRestOfTheBurst) {
+  // Both entries share one wheel tick: the second is in the burst being
+  // fired, behind the running callback.
+  bool checked = false;
+  sched.at(Time::picos(100'000), [&] {
+    EXPECT_FALSE(sched.try_advance(Time::picos(200'000)));
+    EXPECT_TRUE(sched.try_advance(Time::picos(199'999)));
+    checked = true;
+  });
+  sched.at(Time::picos(200'000), [] {});
+  sched.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST_P(TryAdvance, SeesSameTickArrivals) {
+  // B and C are minted into the firing tick by A, so they wait in the
+  // burst's same-tick heap when B runs.
+  bool checked = false;
+  sched.at(Time::picos(100'000), [&] {
+    sched.at(Time::picos(150'000), [&] {
+      EXPECT_FALSE(sched.try_advance(Time::picos(200'000)));
+      EXPECT_TRUE(sched.try_advance(Time::picos(199'999)));
+      checked = true;
+    });
+    sched.at(Time::picos(200'000), [] {});
+  });
+  sched.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST_P(TryAdvance, SeesEntriesTheCallbackMinted) {
+  bool checked = false;
+  sched.at(Time::nanos(10), [&] {
+    sched.at(Time::nanos(12), [] {});  // same tick
+    EXPECT_FALSE(sched.try_advance(Time::nanos(12)));
+    const EventId far = sched.at(Time::micros(5), [] {});  // later tick
+    EXPECT_FALSE(sched.try_advance(Time::micros(6)));
+    // A cancelled entry is no obstacle.
+    sched.cancel(far);
+    EXPECT_FALSE(sched.try_advance(Time::micros(6)));  // 12 ns still due
+    EXPECT_TRUE(sched.try_advance(Time::nanos(11)));
+    checked = true;
+  });
+  sched.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST_P(TryAdvance, SeesTheFarFutureTier) {
+  bool checked = false;
+  sched.at(Time::nanos(10), [&] {
+    EXPECT_FALSE(sched.try_advance(Time::millis(10)));
+    EXPECT_TRUE(sched.try_advance(Time::millis(10) - Time::picos(1)));
+    checked = true;
+  });
+  sched.at(Time::millis(10), [] {});  // beyond the wheel horizon
+  sched.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST_P(TryAdvance, StopsAtTheRunUntilDeadline) {
+  int checks = 0;
+  sched.at(Time::nanos(10), [&] {
+    EXPECT_FALSE(sched.try_advance(Time::nanos(16)));
+    EXPECT_TRUE(sched.try_advance(Time::nanos(15)));
+    ++checks;
+  });
+  sched.run_until(Time::nanos(15));
+  sched.at(Time::nanos(20), [&] {
+    EXPECT_TRUE(sched.try_advance(Time::millis(50)));  // run(): no deadline
+    ++checks;
+  });
+  sched.run();
+  EXPECT_EQ(checks, 2);
+}
+
+TEST_P(TryAdvance, CountsAgainstTheRunBudget) {
+  // Inline work that keeps re-arming itself, with nothing else pending,
+  // would loop for ever: run(max_events) bounds it, one unit per advance.
+  std::size_t advances = 0;
+  sched.at(Time::nanos(10), [&] {
+    while (sched.try_advance(sched.now() + Time::nanos(1))) {
+      ++advances;
+    }
+  });
+  sched.at(Time::micros(5), [] {});
+  EXPECT_EQ(sched.run(10), 1u);  // 1 callback + 9 advances spend the budget
+  EXPECT_EQ(advances, 9u);
+  EXPECT_EQ(sched.now(), Time::nanos(19));
+  EXPECT_EQ(sched.pending(), 1u);  // the later callback is left for later
+  EXPECT_EQ(sched.run(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothTiers, TryAdvance, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Wheel" : "HeapOnly";
+                         });
+
 TEST(WheelTier, NextOccupiedTickScansAcrossBitmapWrap) {
   WheelTier w;
   // Park the cursor late in the slot array so the next occupied tick sits

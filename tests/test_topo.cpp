@@ -24,7 +24,8 @@ TEST(Link, DeliversAfterPropagationDelay) {
   Link link(sched, Link::Config{sim::Time::micros(3), true});
   std::vector<sim::Time> arrivals;
   link.end_b().deliver = [&](net::Packet) { arrivals.push_back(sched.now()); };
-  sched.at(sim::Time::micros(10), [&] { link.send_a_to_b(net::Packet(64)); });
+  sched.at(sim::Time::micros(10),
+           [&] { link.send_a_to_b(net::Packet(64), sched.now()); });
   sched.run(100);
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], sim::Time::micros(13));
@@ -42,7 +43,7 @@ TEST(Link, DownLinkDropsAndNotifies) {
 
   link.set_up(false);
   link.set_up(false);  // duplicate: no second notification
-  link.send_a_to_b(net::Packet(64));
+  link.send_a_to_b(net::Packet(64), sched.now());
   sched.run(100);
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(link.dropped_down(), 1u);
@@ -51,7 +52,7 @@ TEST(Link, DownLinkDropsAndNotifies) {
   EXPECT_EQ(status_b.size(), 1u);
 
   link.set_up(true);
-  link.send_a_to_b(net::Packet(64));
+  link.send_a_to_b(net::Packet(64), sched.now());
   sched.run(100);
   EXPECT_EQ(delivered, 1);
 }
@@ -72,10 +73,39 @@ TEST(Link, InFlightPacketSurvivesFailure) {
   Link link(sched, Link::Config{sim::Time::micros(10), true});
   int delivered = 0;
   link.end_b().deliver = [&](net::Packet) { ++delivered; };
-  link.send_a_to_b(net::Packet(64));  // will arrive at t=10us
+  link.send_a_to_b(net::Packet(64), sched.now());  // arrives at t=10us
   link.fail_at(sim::Time::micros(5));
   sched.run(100);
   EXPECT_EQ(delivered, 1);  // already propagating
+}
+
+TEST(Link, DecidesAtTheDeparture) {
+  // Departure-stamped sends: the link is up or down *at the departure*,
+  // whatever it was when the sender handed the packet over.
+  sim::Scheduler sched;
+  Link link(sched, Link::Config{sim::Time::micros(1), true});
+  std::vector<sim::Time> arrivals;
+  link.end_b().deliver = [&](net::Packet) { arrivals.push_back(sched.now()); };
+  link.send_a_to_b(net::Packet(64), sim::Time::micros(4));   // before the fail
+  link.send_a_to_b(net::Packet(64), sim::Time::micros(10));  // while down
+  link.send_a_to_b(net::Packet(64), sim::Time::micros(25));  // after recovery
+  link.fail_at(sim::Time::micros(5));
+  link.recover_at(sim::Time::micros(20));
+  sched.run(100);
+  EXPECT_EQ(arrivals, (std::vector<sim::Time>{sim::Time::micros(5),
+                                              sim::Time::micros(26)}));
+  EXPECT_EQ(link.delivered(), 2u);
+  EXPECT_EQ(link.dropped_down(), 1u);
+
+  // Down and back up within one serialization: up at the departure.
+  link.fail_at(sim::Time::micros(30));
+  link.recover_at(sim::Time::micros(32));
+  sched.at(sim::Time::micros(29), [&] {
+    link.send_a_to_b(net::Packet(64), sim::Time::micros(35));
+  });
+  sched.run(100);
+  EXPECT_EQ(arrivals.back(), sim::Time::micros(36));
+  EXPECT_EQ(link.dropped_down(), 1u);
 }
 
 // ---- host ---------------------------------------------------------------------
@@ -93,10 +123,11 @@ TEST(Host, PacesTransmissionAtNicRate) {
   sim::Scheduler sched;
   Host h(sched, host_cfg("h", 1));
   std::vector<sim::Time> tx_times;
-  h.connect_tx([&](net::Packet) { tx_times.push_back(sched.now()); });
+  h.connect_tx(
+      [&](net::Packet, sim::Time departure) { tx_times.push_back(departure); });
   h.send(net::Packet(1250));  // 10 us at 1 Gb/s
   h.send(net::Packet(1250));
-  EXPECT_EQ(h.tx_backlog(), 1u);  // second queued behind the first
+  EXPECT_EQ(h.tx_idle_at(), sim::Time::micros(20));  // second queued behind
   sched.run(100);
   ASSERT_EQ(tx_times.size(), 2u);
   EXPECT_EQ(tx_times[0], sim::Time::micros(10));
@@ -125,7 +156,7 @@ TEST(Host, ReceiveStatsPerUdpPort) {
 TEST(CbrGenerator, EmitsAtConfiguredRate) {
   sim::Scheduler sched;
   Host h(sched, host_cfg("h", 1));
-  h.connect_tx([](net::Packet) {});
+  h.connect_tx([](net::Packet, sim::Time) {});
   CbrGenerator::Config cfg;
   cfg.flow.packet_size = 1250;
   cfg.rate_bps = 100e6;  // 1250B @ 100 Mb/s = 100 us spacing
@@ -139,7 +170,7 @@ TEST(CbrGenerator, EmitsAtConfiguredRate) {
 TEST(PoissonGenerator, MeanRateApproximatelyHonored) {
   sim::Scheduler sched;
   Host h(sched, host_cfg("h", 1));
-  h.connect_tx([](net::Packet) {});
+  h.connect_tx([](net::Packet, sim::Time) {});
   PoissonGenerator::Config cfg;
   cfg.flow.packet_size = 1250;
   cfg.mean_rate_bps = 1e9;  // mean spacing 10 us
@@ -156,7 +187,7 @@ TEST(BurstGenerator, BurstsWithGaps) {
   sim::Scheduler sched;
   Host h(sched, host_cfg("h", 1));
   std::vector<sim::Time> tx;
-  h.connect_tx([&](net::Packet) { tx.push_back(sched.now()); });
+  h.connect_tx([&](net::Packet, sim::Time departure) { tx.push_back(departure); });
   BurstGenerator::Config cfg;
   cfg.flow.packet_size = 125;  // 1 us at 1 Gb/s NIC
   cfg.burst_rate_bps = 1e9;
@@ -188,7 +219,9 @@ TEST(TraceReplay, ParsesCsvAndReplaysAtExactTimes) {
   sim::Scheduler sched;
   Host h(sched, host_cfg("h", 1));
   std::vector<std::pair<sim::Time, std::size_t>> sent;
-  h.connect_tx([&](net::Packet p) { sent.push_back({sched.now(), p.size()}); });
+  h.connect_tx([&](net::Packet p, sim::Time departure) {
+    sent.push_back({departure, p.size()});
+  });
   TraceReplayGenerator gen(sched, h, trace);
   gen.start();
   sched.run(1000);
@@ -216,7 +249,7 @@ TEST(TraceReplay, MalformedLinesAreCountedNotReplayed) {
 TEST(ZipfGenerator, CountsMatchEmissionsAndSkew) {
   sim::Scheduler sched;
   Host h(sched, host_cfg("h", 1));
-  h.connect_tx([](net::Packet) {});
+  h.connect_tx([](net::Packet, sim::Time) {});
   ZipfGenerator::Config cfg;
   cfg.num_flows = 50;
   cfg.skew = 1.3;
@@ -275,6 +308,105 @@ TEST(Network, SwitchToSwitchLinkStatusPropagates) {
   EXPECT_FALSE(net.sw(a).link_up(1));
   EXPECT_FALSE(net.sw(b).link_up(1));
   EXPECT_TRUE(net.sw(a).link_up(0));
+}
+
+TEST(Network, HostLinkFailingDuringSerializationDropsThePacket) {
+  // h0's NIC (1 Gb/s) sends A (departs 10 us) then B (queued behind A,
+  // departs 20 us). The link fails at 12 us: A is already propagating and
+  // arrives; B departs onto a dead link and is lost.
+  sim::Scheduler sched;
+  Network net(sched);
+  core::EventSwitchConfig scfg;
+  scfg.num_ports = 2;
+  const std::size_t s = net.add_switch(scfg);
+  const std::size_t h0 = net.add_host(host_cfg("h0", 1));
+  const std::size_t l =
+      net.connect_host(h0, s, 0, Link::Config{sim::Time::micros(5), true});
+  for (int i = 0; i < 2; ++i) {
+    net.host(h0).send(net::make_udp_packet(net.host(h0).ip(),
+                                           Ipv4Address(10, 0, 0, 9), 1, 2,
+                                           1250));
+  }
+  net.link(l).fail_at(sim::Time::micros(12));
+  net.run_until(sim::Time::millis(1));
+  EXPECT_EQ(net.sw(s).counters().rx_packets, 1u);
+  EXPECT_EQ(net.link(l).delivered(), 1u);
+  EXPECT_EQ(net.link(l).dropped_down(), 1u);
+  EXPECT_EQ(net.host(h0).tx_packets(), 2u);
+}
+
+TEST(Network, SwitchLinkFailingDuringSerializationDropsThePacket) {
+  // h0 -> s -> h1, all at 1 Gb/s with 1 us links: the 1250 B packet reaches
+  // s at 11 us and leaves its port 1 from 11 us to 21 us. A failure of the
+  // s-h1 link mid-serialization loses it; one after the departure does not
+  // (the packet is already propagating).
+  const auto run = [](sim::Time fail_at) {
+    sim::Scheduler sched;
+    Network net(sched);
+    core::EventSwitchConfig scfg;
+    scfg.num_ports = 2;
+    scfg.port_rate_bps = 1e9;
+    const std::size_t s = net.add_switch(scfg);
+    const std::size_t h0 = net.add_host(host_cfg("h0", 1));
+    const std::size_t h1 = net.add_host(host_cfg("h1", 2));
+    net.connect_host(h0, s, 0, Link::Config{sim::Time::micros(1), true});
+    const std::size_t l1 =
+        net.connect_host(h1, s, 1, Link::Config{sim::Time::micros(1), true});
+    L3Program prog;
+    prog.add_route(net.host(h1).ip(), 32, 1);
+    net.sw(s).set_program(&prog);
+    std::vector<sim::Time> departures;
+    net.sw(s).on_departure = [&](const core::TransmitRecord& r) {
+      departures.push_back(r.when);
+    };
+    net.host(h0).send(net::make_udp_packet(net.host(h0).ip(),
+                                           net.host(h1).ip(), 1, 2, 1250));
+    net.link(l1).fail_at(fail_at);
+    net.run_until(sim::Time::millis(1));
+    // The port transmitted the packet either way.
+    EXPECT_EQ(net.sw(s).counters().tx_packets, 1u);
+    EXPECT_EQ(departures, (std::vector<sim::Time>{sim::Time::micros(21)}));
+    EXPECT_EQ(net.link(l1).dropped_down() + net.host(h1).rx_packets(), 1u);
+    return net.host(h1).rx_packets();
+  };
+  EXPECT_EQ(run(sim::Time::micros(15)), 0u);   // during serialization
+  EXPECT_EQ(run(sim::Time::nanos(21'500)), 1u);  // while propagating
+}
+
+TEST(Network, HeapOnlySchedulerMakesTheSameInlineDecisions) {
+  // try_advance() answers from the pending set alone, so a run on the
+  // heap-only tier inlines exactly the same slots: same callback count,
+  // same arrival times.
+  const auto run = [](bool use_wheel) {
+    sim::Scheduler sched{sim::SchedulerOptions{use_wheel}};
+    Network net(sched);
+    core::EventSwitchConfig scfg;
+    scfg.num_ports = 2;
+    const std::size_t s = net.add_switch(scfg);
+    const std::size_t h0 = net.add_host(host_cfg("h0", 1));
+    const std::size_t h1 = net.add_host(host_cfg("h1", 2));
+    net.connect_host(h0, s, 0, Link::Config{sim::Time::nanos(700), true});
+    net.connect_host(h1, s, 1, Link::Config{sim::Time::micros(3), true});
+    L3Program prog;
+    prog.add_route(net.host(h1).ip(), 32, 1);
+    net.sw(s).set_program(&prog);
+    std::vector<sim::Time> arrivals;
+    net.host(h1).on_receive = [&](const net::Packet&) {
+      arrivals.push_back(sched.now());
+    };
+    for (int i = 0; i < 200; ++i) {
+      sched.at(sim::Time::nanos(97 * i), [&net, h0, h1, i] {
+        net.host(h0).send(net::make_udp_packet(
+            net.host(h0).ip(), net.host(h1).ip(), 1, 2, 64 + 7 * i));
+      });
+    }
+    sched.run();
+    return std::pair{sched.executed(), arrivals};
+  };
+  const auto wheel = run(true);
+  const auto heap_only = run(false);
+  EXPECT_EQ(wheel.second.size(), 200u);
+  EXPECT_EQ(wheel, heap_only);
 }
 
 TEST(Network, PcapTapCapturesBothDirections) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -276,6 +277,58 @@ TEST(Replay, DigestMatrixSeedByShards) {
   }
   // Different seeds replay different traffic.
   EXPECT_EQ(per_seed_digests.size(), 5u);
+}
+
+// The storm of benchmark/storm.cpp (storm_seq / storm_4shard).
+ScenarioSpec benchmark_storm(std::uint64_t seed) {
+  ScenarioSpec spec;
+  spec.name = "bench-storm";
+  spec.seed = seed;
+  spec.edges = 4;
+  spec.hosts_per_edge = 2;
+  spec.sizes = SizeMix::kWebSearch;
+  spec.arrivals = ArrivalSampler::Kind::kPoisson;
+  spec.load = 0.4;
+  spec.flows = 5000;
+  spec.incast_degree = 4;
+  spec.burst_packets = 16;
+  return spec;
+}
+
+// The timing digest folds (time, bytes, port) of every sink receive and
+// every DUT departure. These values were recorded while every transmit
+// still ended in its own scheduler callback; any change to how the kernel
+// gets a packet from one hop to the next must reproduce them exactly, at
+// every shard count.
+void expect_timing_digests(const char* app_name,
+                           ScenarioSpec (*make)(std::uint64_t),
+                           const std::array<std::uint64_t, 5>& pinned) {
+  const apps::RegisteredProgram* app = find_program(app_name);
+  ASSERT_NE(app, nullptr);
+  for (std::uint64_t seed : {1, 2, 3, 4, 5}) {
+    for (std::size_t shards : {1, 2, 4}) {
+      ReplayOptions opt;
+      opt.shards = shards;
+      const ScenarioOutcome out = replay(make(seed), *app, opt);
+      EXPECT_EQ(out.timing_digest, pinned[seed - 1])
+          << "seed " << seed << " at " << shards
+          << " shards: 0x" << std::hex << out.timing_digest;
+    }
+  }
+}
+
+TEST(Replay, TimingDigestPinnedSmallStorm) {
+  expect_timing_digests("cms-monitor", small_storm,
+                        {0xe092e059e17d8518ULL, 0x4bbb6edcc80647fbULL,
+                         0xc8c89ff52c727e0bULL, 0x0b6c243d2494b0a7ULL,
+                         0xdd6927d8f5faaf4dULL});
+}
+
+TEST(Replay, TimingDigestPinnedBenchmarkStorm) {
+  expect_timing_digests("ecn-marking", benchmark_storm,
+                        {0xecce50ccfd9685c3ULL, 0x828f2f694cf75e98ULL,
+                         0x37abc7df7060e2d3ULL, 0x6e8b72e9c5ace2c5ULL,
+                         0xf5b4f1de2d695036ULL});
 }
 
 TEST(Replay, SteadyStateLoopDoesNotAllocate) {

@@ -8,7 +8,8 @@
 //   edp_scen storm [--flows-per-app N]  the full storm: every registered app
 //                                       (>=1M flows total at the default size)
 //   edp_scen matrix --app NAME          digest gate: seeds {1..5} x shards
-//                                       {1,2,4} must agree per seed
+//                                       {1,2,4} must agree per seed, in
+//                                       both the outcome and timing digest
 //   edp_scen fuzz [--runs N]            randomized scenario fuzzing with
 //                                       shrinking reproducers
 //
@@ -349,6 +350,7 @@ int cmd_matrix(const Cli& cli) {
     ScenarioSpec spec = cli.spec;
     spec.seed = seed;
     std::uint64_t reference = 0;
+    std::uint64_t timing_reference = 0;
     for (std::size_t shards : {std::size_t{1}, std::size_t{2},
                                std::size_t{4}}) {
       ReplayOptions options = cli.options;
@@ -357,15 +359,20 @@ int cmd_matrix(const Cli& cli) {
           edp::workload::replay(spec, *program, options);
       if (shards == 1) {
         reference = o.digest;
-        std::printf("seed %llu: digest %016llx (1 shard, %llu flows)",
+        timing_reference = o.timing_digest;
+        std::printf("seed %llu: digest %016llx timing %016llx (1 shard, "
+                    "%llu flows)",
                     static_cast<unsigned long long>(seed),
                     static_cast<unsigned long long>(o.digest),
+                    static_cast<unsigned long long>(o.timing_digest),
                     static_cast<unsigned long long>(o.flows_started));
-      } else if (o.digest == reference) {
+      } else if (o.digest == reference &&
+                 o.timing_digest == timing_reference) {
         std::printf(" == %zu shards", shards);
       } else {
-        std::printf(" != %zu shards (%016llx)", shards,
-                    static_cast<unsigned long long>(o.digest));
+        std::printf(" != %zu shards (%016llx timing %016llx)", shards,
+                    static_cast<unsigned long long>(o.digest),
+                    static_cast<unsigned long long>(o.timing_digest));
         ++failures;
       }
     }
