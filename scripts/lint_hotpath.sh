@@ -6,7 +6,8 @@
 # The event kernel's per-event path must not allocate: no heap allocation
 # (new/make_unique/make_shared/malloc), no std::function (type-erased heap
 # closures — use sim::InlineCallback), no std::deque/std::list (per-node
-# allocation — use sim::RingQueue). PR 2 removed these from the hot path;
+# allocation — use sim::RingQueue), and no std::unordered_map/set (a heap
+# node per insert — use a vector). These were removed from the hot path;
 # this check keeps them out.
 #
 # Setup-time code (constructors that run once per simulation) may carry an
@@ -36,7 +37,7 @@ files=$(
     find src/sim src/runtime -name '*.hpp' -o -name '*.cpp'
     ls src/workload/storm_source.hpp src/workload/storm_source.cpp
     ls src/core/event_merger.hpp src/core/event_merger.cpp \
-       src/core/timer_wheel.hpp src/core/timer_wheel.cpp \
+       src/core/timer_block.hpp src/core/timer_block.cpp \
        src/core/dispatch_plan.hpp \
        src/core/aggregated_register.hpp src/core/aggregated_register.cpp
     ls src/pisa/deparser.hpp src/pisa/deparser.cpp
@@ -73,6 +74,8 @@ check 'std::function' \
   'std::function (type-erased heap closure; use sim::InlineCallback)'
 check 'std::(deque|list)[[:space:]]*<' \
   'std::deque / std::list (per-node allocation; use sim::RingQueue)'
+check 'std::unordered_(map|set|multimap|multiset)[[:space:]]*<' \
+  'std::unordered_map / std::unordered_set (per-node allocation; use a vector)'
 # `[^:alnum:_:]new` keeps placement `::new (` and identifiers like
 # `new_value` out of scope.
 check '(^|[^[:alnum:]_:])new[[:space:](]' \

@@ -87,6 +87,13 @@ struct Finding {
   std::string message;
 };
 
+/// Append a finding; every pass reports through this one helper.
+void add_finding(std::vector<Finding>& findings, Severity severity, Pass pass,
+                 std::string code, std::string subject, std::string message);
+
+/// An event rate as finding messages print it: "1.5G/s", "250k/s", "12/s".
+std::string rate_str(double rate);
+
 // ---- handlers -----------------------------------------------------------------
 
 /// One row of the access matrix: the 13 event-kind handlers plus on_attach.

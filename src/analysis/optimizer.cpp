@@ -12,30 +12,10 @@
 namespace edp::analysis {
 namespace {
 
-std::string rate_str(double rate) {
-  std::ostringstream os;
-  if (rate >= 1e9) {
-    os << rate / 1e9 << "G/s";
-  } else if (rate >= 1e6) {
-    os << rate / 1e6 << "M/s";
-  } else if (rate >= 1e3) {
-    os << rate / 1e3 << "k/s";
-  } else {
-    os << rate << "/s";
-  }
-  return os.str();
-}
-
 std::string micros_str(double seconds) {
   std::ostringstream os;
   os << seconds * 1e6 << "us";
   return os.str();
-}
-
-void add(std::vector<Finding>& findings, Severity severity, std::string code,
-         std::string subject, std::string message) {
-  findings.push_back(Finding{severity, Pass::kOptimizer, std::move(code),
-                             std::move(subject), std::move(message)});
 }
 
 bool writes(AccessPattern p) {
@@ -373,8 +353,9 @@ OptimizationResult optimize_program(const std::string& name,
   result.optimized = analyze_traces(name, traces, options);
 
   for (const TransformRecord& t : result.transforms) {
-    add(result.diagnostics, Severity::kNote, "transform-applied", t.subject,
-        t.kind + ": " + t.detail);
+    add_finding(
+        result.diagnostics, Severity::kNote, Pass::kOptimizer,
+        "transform-applied", t.subject, t.kind + ": " + t.detail);
   }
 
   // Staleness contracts for every aggregated register the mapping drains.
@@ -411,8 +392,9 @@ OptimizationResult optimize_program(const std::string& name,
           << " exceed the " << rate_str(b.idle_rate_per_sec)
           << " idle-cycle drain budget — staleness is unbounded";
     }
-    add(result.diagnostics, Severity::kNote, "staleness-bound", b.reg,
-        msg.str());
+    add_finding(
+        result.diagnostics, Severity::kNote, Pass::kOptimizer,
+        "staleness-bound", b.reg, msg.str());
     result.staleness.push_back(std::move(b));
   }
 
@@ -426,8 +408,9 @@ OptimizationResult optimize_program(const std::string& name,
       continue;
     }
     const auto blocked = blockers.find(f.subject);
-    add(result.diagnostics, Severity::kError, "unresolvable-constraint",
-        f.subject,
+    add_finding(
+        result.diagnostics, Severity::kError, Pass::kOptimizer,
+        "unresolvable-constraint", f.subject,
         blocked != blockers.end()
             ? blocked->second
             : "still fails re-verification after the transforms (" + f.code +

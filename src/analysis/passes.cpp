@@ -42,12 +42,6 @@ std::string cycle_string(const std::vector<Handler>& cycle) {
   return out;
 }
 
-void add(std::vector<Finding>& findings, Severity severity, Pass pass,
-         std::string code, std::string subject, std::string message) {
-  findings.push_back(Finding{severity, pass, std::move(code),
-                             std::move(subject), std::move(message)});
-}
-
 }  // namespace
 
 // ---- graph --------------------------------------------------------------------
@@ -142,7 +136,8 @@ void check_shared(const RegisterUsage& reg, std::vector<Finding>& findings) {
         << thread_list(threads) << ": " << handler_list(accessing)
         << ") but provisioned with only " << reg.ports
         << " port(s) — not realizable on the declared memory";
-    add(findings, Severity::kError, Pass::kPortBudget, "port-overcommit",
+    add_finding(
+        findings, Severity::kError, Pass::kPortBudget, "port-overcommit",
         reg.name, msg.str());
   }
 
@@ -156,7 +151,8 @@ void check_shared(const RegisterUsage& reg, std::vector<Finding>& findings) {
         << thread_list(write_threads)
         << "); on single-ported targets this register requires the "
            "AggregatedRegister realization (paper §4)";
-    add(findings, Severity::kNote, Pass::kPortBudget, "needs-aggregation",
+    add_finding(
+        findings, Severity::kNote, Pass::kPortBudget, "needs-aggregation",
         reg.name, msg.str());
   }
 
@@ -173,7 +169,8 @@ void check_shared(const RegisterUsage& reg, std::vector<Finding>& findings) {
       msg << to_string(handler) << " declares a different ThreadId than the "
           << to_string(thread_of(handler))
           << " thread it runs on — port accounting is unsound";
-      add(findings, Severity::kWarning, Pass::kPortBudget,
+      add_finding(
+          findings, Severity::kWarning, Pass::kPortBudget,
           "thread-attribution", reg.name, msg.str());
     }
   }
@@ -192,7 +189,8 @@ void check_aggregated(const RegisterUsage& reg,
     // an event thread touching it directly steals packet-rate bandwidth.
     if (at(core::RegisterRealization::kAggregatedMain).any() &&
         !is_packet_handler(handler)) {
-      add(findings, Severity::kWarning, Pass::kPortBudget, "agg-main-misuse",
+      add_finding(
+          findings, Severity::kWarning, Pass::kPortBudget, "agg-main-misuse",
           reg.name,
           std::string(to_string(handler)) +
               " accesses the main array directly; only the packet pipeline "
@@ -201,7 +199,8 @@ void check_aggregated(const RegisterUsage& reg,
     }
     if (at(core::RegisterRealization::kAggregatedEnq).any() &&
         thread_of(handler) != core::ThreadId::kEnqueue) {
-      add(findings, Severity::kWarning, Pass::kPortBudget, "agg-array-misuse",
+      add_finding(
+          findings, Severity::kWarning, Pass::kPortBudget, "agg-array-misuse",
           reg.name,
           std::string(to_string(handler)) +
               " updates the enqueue aggregation array, which is owned by "
@@ -209,7 +208,8 @@ void check_aggregated(const RegisterUsage& reg,
     }
     if (at(core::RegisterRealization::kAggregatedDeq).any() &&
         thread_of(handler) != core::ThreadId::kDequeue) {
-      add(findings, Severity::kWarning, Pass::kPortBudget, "agg-array-misuse",
+      add_finding(
+          findings, Severity::kWarning, Pass::kPortBudget, "agg-array-misuse",
           reg.name,
           std::string(to_string(handler)) +
               " updates the dequeue aggregation array, which is owned by "
@@ -232,24 +232,6 @@ void port_budget_pass(const AccessMatrix& matrix,
 }
 
 // ---- pipeline mapping (§4, quantitative) --------------------------------------
-
-namespace {
-
-std::string rate_str(double rate) {
-  std::ostringstream os;
-  if (rate >= 1e9) {
-    os << rate / 1e9 << "G/s";
-  } else if (rate >= 1e6) {
-    os << rate / 1e6 << "M/s";
-  } else if (rate >= 1e3) {
-    os << rate / 1e3 << "k/s";
-  } else {
-    os << rate << "/s";
-  }
-  return os.str();
-}
-
-}  // namespace
 
 std::array<double, kNumHandlers> derive_event_rates(
     const EventGraph& graph, const RecordingContext& ctx,
@@ -349,7 +331,8 @@ PipelineMapping pipeline_mapping_pass(const DataflowIr& ir,
       cycle += ir.registers[r].name;
     }
     if (!model.unconstrained) {
-      add(findings, Severity::kError, Pass::kPipelineMapping, "stage-overflow",
+      add_finding(
+          findings, Severity::kError, Pass::kPipelineMapping, "stage-overflow",
           cycle,
           "cross-handler register dependencies form a cycle — no "
           "feed-forward stage order satisfies every handler on a "
@@ -435,7 +418,8 @@ PipelineMapping pipeline_mapping_pass(const DataflowIr& ir,
       msg << "dependency chains need " << m.stages_used
           << " pipeline stage(s) but the target has " << model.stages
           << " — cannot place: " << names;
-      add(findings, Severity::kError, Pass::kPipelineMapping, "stage-overflow",
+      add_finding(
+          findings, Severity::kError, Pass::kPipelineMapping, "stage-overflow",
           names, msg.str());
     }
   } else {
@@ -476,7 +460,8 @@ PipelineMapping pipeline_mapping_pass(const DataflowIr& ir,
           << " — multi-ported stateful SRAM is not realizable at this line "
              "rate; re-realize as an AggregatedRegister with side arrays "
              "(paper §4) or retarget";
-      add(findings, Severity::kError, Pass::kPipelineMapping,
+      add_finding(
+          findings, Severity::kError, Pass::kPipelineMapping,
           "multiport-unrealizable", ir.registers[r].name, msg.str());
     }
     bool packet = false;
@@ -526,7 +511,8 @@ PipelineMapping pipeline_mapping_pass(const DataflowIr& ir,
              "value-consuming accesses from "
           << nonagg_handlers << " that aggregation cannot absorb — but "
           << model.name << " stage memory has " << ports << " port(s)";
-      add(findings, Severity::kError, Pass::kPipelineMapping,
+      add_finding(
+          findings, Severity::kError, Pass::kPipelineMapping,
           "port-schedule-conflict", ir.registers[r].name, msg.str());
     }
 
@@ -550,7 +536,8 @@ PipelineMapping pipeline_mapping_pass(const DataflowIr& ir,
             << rate_str(m.idle_rate) << " idle cycles to drain the "
             << "side-registers — staleness grows without bound (paper §4); "
             << "declare a realistic packet size/event rate or shed load";
-        add(findings, Severity::kError, Pass::kPipelineMapping,
+        add_finding(
+            findings, Severity::kError, Pass::kPipelineMapping,
             "aggregation-starvation", d.name, msg.str());
       }
       m.drains.push_back(std::move(d));
@@ -578,7 +565,8 @@ void amplification_pass(const EventGraph& graph,
 
   for (const auto& cycle : cycles) {
     if (!limited_seeds.empty()) {
-      add(findings, Severity::kError, Pass::kAmplification, "unguarded-cycle",
+      add_finding(
+          findings, Severity::kError, Pass::kAmplification, "unguarded-cycle",
           cycle_string(cycle),
           "event-generation cycle with no rate bound; chain simulation from "
           "seed(s) [" +
@@ -586,7 +574,8 @@ void amplification_pass(const EventGraph& graph,
               "] was still spawning events when the step budget ran out — "
               "one trigger amplifies without bound");
     } else {
-      add(findings, Severity::kNote, Pass::kAmplification, "guarded-cycle",
+      add_finding(
+          findings, Severity::kNote, Pass::kAmplification, "guarded-cycle",
           cycle_string(cycle),
           "event-generation cycle exists statically but every simulated "
           "chain terminated — a stateful guard bounds it; verify the guard "
@@ -597,7 +586,8 @@ void amplification_pass(const EventGraph& graph,
   // A chain that never converged with no static cycle means the graph
   // under-approximated (e.g. payload-dependent generation); still report.
   if (cycles.empty() && !limited_seeds.empty()) {
-    add(findings, Severity::kError, Pass::kAmplification, "runaway-chain",
+    add_finding(
+        findings, Severity::kError, Pass::kAmplification, "runaway-chain",
         limited_seeds,
         "chain simulation exhausted its step budget although the event "
         "graph shows no cycle — event generation is input-dependent and "
@@ -632,7 +622,8 @@ void resource_lint_pass(const RecordingContext& event_ctx,
     if (punted || !reported.emplace(c.kind, c.during).second) {
       continue;
     }
-    add(findings, Severity::kWarning, Pass::kResourceLint,
+    add_finding(
+        findings, Severity::kWarning, Pass::kResourceLint,
         "unchecked-facility", std::string(to_string(c.during)),
         std::string(to_string(c.kind)) +
             " is refused by the baseline architecture and the handler does "
@@ -648,7 +639,8 @@ void resource_lint_pass(const RecordingContext& event_ctx,
       if (!zero_reported.emplace(z.kind, z.during).second) {
         continue;
       }
-      add(findings, Severity::kError, Pass::kResourceLint, "zero-id",
+      add_finding(
+          findings, Severity::kError, Pass::kResourceLint, "zero-id",
           std::string(to_string(z.during)),
           std::string(to_string(z.kind)) +
               " called with id 0 — 0 is the refusal sentinel, so an "
@@ -660,7 +652,8 @@ void resource_lint_pass(const RecordingContext& event_ctx,
   //    manager extracted both at enqueue admission.
   for (const PacketDrive& d : event_log.packet_drives) {
     if (d.handler == Handler::kEgress && d.meta_written) {
-      add(findings, Severity::kWarning, Pass::kResourceLint,
+      add_finding(
+          findings, Severity::kWarning, Pass::kResourceLint,
           "dead-meta-write", "on_egress",
           "writes enq/deq meta words (phv.user[0.." +
               std::to_string(core::kDeqMetaBase + 3) +
@@ -699,7 +692,8 @@ void resource_lint_pass(const RecordingContext& event_ctx,
       }
     }
     if (meta_written && !buffer_observed) {
-      add(findings, Severity::kNote, Pass::kResourceLint, "unused-meta",
+      add_finding(
+          findings, Severity::kNote, Pass::kResourceLint, "unused-meta",
           "on_ingress",
           "attaches enq/deq metadata but no buffer-event handler observably "
           "consumes it (no register access, facility call or punt from "

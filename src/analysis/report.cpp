@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <sstream>
+#include <utility>
 
 namespace edp::analysis {
 
@@ -34,6 +35,26 @@ std::string_view to_string(Pass pass) {
       return "value-analysis";
   }
   return "?";
+}
+
+void add_finding(std::vector<Finding>& findings, Severity severity, Pass pass,
+                 std::string code, std::string subject, std::string message) {
+  findings.push_back(Finding{severity, pass, std::move(code),
+                             std::move(subject), std::move(message)});
+}
+
+std::string rate_str(double rate) {
+  std::ostringstream os;
+  if (rate >= 1e9) {
+    os << rate / 1e9 << "G/s";
+  } else if (rate >= 1e6) {
+    os << rate / 1e6 << "M/s";
+  } else if (rate >= 1e3) {
+    os << rate / 1e3 << "k/s";
+  } else {
+    os << rate << "/s";
+  }
+  return os.str();
 }
 
 std::string_view to_string(Handler handler) {

@@ -14,17 +14,6 @@ namespace {
 
 constexpr std::size_t kAttachIdx = static_cast<std::size_t>(Handler::kAttach);
 
-void add(std::vector<Finding>& findings, Severity severity, std::string code,
-         std::string subject, std::string message) {
-  Finding f;
-  f.severity = severity;
-  f.pass = Pass::kValueAnalysis;
-  f.code = std::move(code);
-  f.subject = std::move(subject);
-  f.message = std::move(message);
-  findings.push_back(std::move(f));
-}
-
 std::string num_str(double v) {
   std::ostringstream os;
   os << v;
@@ -280,8 +269,9 @@ ValueAnalysis value_analysis_pass(const DataflowIr& ir, const EventGraph& graph,
         os << "; values stay == 0 mod " << info.congruence
            << ", so the wrap aliases a valid reading";
       }
-      add(findings, Severity::kError, "register-overflow", info.name,
-          os.str());
+      add_finding(
+          findings, Severity::kError, Pass::kValueAnalysis,
+          "register-overflow", info.name, os.str());
     }
   }
 
@@ -294,9 +284,9 @@ ValueAnalysis value_analysis_pass(const DataflowIr& ir, const EventGraph& graph,
     if (witness.empty()) {
       continue;
     }
-    add(findings,
-        model.unconstrained ? Severity::kNote : Severity::kWarning,
-        "merge-noncommutative", ir.registers[r].name,
+    add_finding(
+        findings, model.unconstrained ? Severity::kNote : Severity::kWarning,
+        Pass::kValueAnalysis, "merge-noncommutative", ir.registers[r].name,
         "sum-of-deltas merge is order-sensitive: " + witness);
   }
 
@@ -328,14 +318,16 @@ ValueAnalysis value_analysis_pass(const DataflowIr& ir, const EventGraph& graph,
          << " updates/window x max |delta| " << b.max_abs_delta
          << " over a " << num_str(b.staleness_seconds)
          << "s staleness window)";
-      add(findings, Severity::kNote, "staleness-value-error", b.name,
-          os.str());
+      add_finding(
+          findings, Severity::kNote, Pass::kValueAnalysis,
+          "staleness-value-error", b.name, os.str());
     } else {
       os << "drain budget cannot bound staleness (idle "
          << num_str(mapping.idle_rate) << "/s vs demand " << num_str(d.demand)
          << "/s), so the value deviation is unbounded";
-      add(findings, Severity::kWarning, "staleness-value-error", b.name,
-          os.str());
+      add_finding(
+          findings, Severity::kWarning, Pass::kValueAnalysis,
+          "staleness-value-error", b.name, os.str());
     }
   }
 
@@ -371,8 +363,9 @@ ValueAnalysis value_analysis_pass(const DataflowIr& ir, const EventGraph& graph,
          << num_str(info.growth_up) << "/s and passes the TM buffer ("
          << num_str(capacity) << " min-size slots) after ~"
          << num_str(capacity / info.growth_up) << "s";
-      add(findings, Severity::kWarning, "queue-occupancy-unbounded",
-          info.name, os.str());
+      add_finding(
+          findings, Severity::kWarning, Pass::kValueAnalysis,
+          "queue-occupancy-unbounded", info.name, os.str());
     }
   }
 
@@ -401,7 +394,8 @@ ValueAnalysis value_analysis_pass(const DataflowIr& ir, const EventGraph& graph,
     if (!writes) {
       continue;
     }
-    add(findings, Severity::kNote, "missing-rates",
+    add_finding(
+        findings, Severity::kNote, Pass::kValueAnalysis, "missing-rates",
         std::string(to_string(handler)),
         "handler writes " + reg_name +
             " but has no declared EventRates entry and the derived "

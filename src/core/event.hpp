@@ -44,7 +44,7 @@ struct TimerEventData {
   std::uint32_t timer_id = 0;
   std::uint64_t cookie = 0;           ///< program-chosen value
   sim::Time scheduled_for = sim::Time::zero();
-  sim::Time fired_at = sim::Time::zero();  ///< wheel-quantized fire time
+  sim::Time fired_at = sim::Time::zero();  ///< resolution-quantized fire time
 };
 
 /// Control-plane triggered payload (an opcode + arguments the program

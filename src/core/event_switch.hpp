@@ -35,7 +35,7 @@
 #include "core/event_merger.hpp"
 #include "core/event_program.hpp"
 #include "core/packet_generator.hpp"
-#include "core/timer_wheel.hpp"
+#include "core/timer_block.hpp"
 #include "pisa/deparser.hpp"
 #include "pisa/parser.hpp"
 #include "sim/scheduler.hpp"

@@ -15,6 +15,10 @@ std::optional<std::string> determinism_invariant(
   if (one.digest != two.digest) {
     return "digest mismatch: 1-shard vs 2-shard replay diverged";
   }
+  if (one.timing_digest != two.timing_digest) {
+    return "timing digest mismatch: 1-shard vs 2-shard packets moved at "
+           "different times";
+  }
   return std::nullopt;
 }
 

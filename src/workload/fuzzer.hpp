@@ -3,7 +3,8 @@
 // Randomizes scenarios over (seed x topology x mix x storm lanes x failure
 // schedule), replays each against an app, and checks invariants:
 //
-//   * determinism — the outcome digest at 2 shards equals the 1-shard run;
+//   * determinism — the outcome digest and the timing digest at 2 shards
+//     equal the 1-shard run's;
 //   * liveness    — the sink received background traffic (no sink flap);
 //   * optional caller-supplied oracles (the test suite injects a
 //     deliberately-too-strong invariant to exercise the machinery).

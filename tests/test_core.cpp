@@ -1,4 +1,4 @@
-// Unit tests for edp::core — events, timing wheel, packet generator, the
+// Unit tests for edp::core — events, timer block, packet generator, the
 // shared/aggregated registers, the event merger, the event switch, the
 // baseline comparator, and the resource model.
 #include <gtest/gtest.h>
@@ -11,10 +11,11 @@
 #include "core/packet_generator.hpp"
 #include "core/resource_model.hpp"
 #include "core/shared_register.hpp"
-#include "core/timer_wheel.hpp"
+#include "core/timer_block.hpp"
 #include "net/packet_builder.hpp"
 #include "pisa/deparser.hpp"
 #include "pisa/parser.hpp"
+#include "sim/heap_count.hpp"
 
 namespace edp::core {
 namespace {
@@ -39,83 +40,6 @@ TEST(Event, FactoryTagsKindAndPayload) {
   const Event t = Event::timer(TimerEventData{1, 2, {}, {}},
                                sim::Time::micros(1));
   EXPECT_EQ(t.kind, EventKind::kTimer);
-}
-
-// ---- timing wheel ----------------------------------------------------------------
-
-TEST(TimingWheel, FiresAtExactTick) {
-  TimingWheel wheel;
-  wheel.add(10, 0xaa);
-  std::vector<TimingWheel::Expired> out;
-  wheel.advance_to(9, out);
-  EXPECT_TRUE(out.empty());
-  wheel.advance_to(10, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].cookie, 0xaau);
-  EXPECT_EQ(out[0].fire_tick, 10u);
-  EXPECT_EQ(wheel.pending(), 0u);
-}
-
-TEST(TimingWheel, LongDelaysCascadeCorrectly) {
-  TimingWheel wheel;
-  // Far beyond level 0 (256 ticks) and level 1 (65536 ticks).
-  wheel.add(300, 1);
-  wheel.add(70'000, 2);
-  wheel.add(17'000'000, 3);
-  std::vector<TimingWheel::Expired> out;
-  wheel.advance_to(20'000'000, out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].cookie, 1u);
-  EXPECT_EQ(out[0].fire_tick, 300u);
-  EXPECT_EQ(out[1].cookie, 2u);
-  EXPECT_EQ(out[1].fire_tick, 70'000u);
-  EXPECT_EQ(out[2].cookie, 3u);
-  EXPECT_EQ(out[2].fire_tick, 17'000'000u);
-}
-
-TEST(TimingWheel, CancelSuppressesFire) {
-  TimingWheel wheel;
-  const TimerId id = wheel.add(50, 9);
-  wheel.add(60, 10);
-  EXPECT_TRUE(wheel.cancel(id));
-  EXPECT_FALSE(wheel.cancel(id + 100));
-  std::vector<TimingWheel::Expired> out;
-  wheel.advance_to(100, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].cookie, 10u);
-}
-
-TEST(TimingWheel, PastTicksClampToNextTick) {
-  TimingWheel wheel;
-  std::vector<TimingWheel::Expired> out;
-  wheel.advance_to(100, out);
-  wheel.add(50, 1);  // in the past -> clamps to 101
-  wheel.advance_to(101, out);
-  ASSERT_EQ(out.size(), 1u);
-}
-
-TEST(TimingWheel, NextExpiryHintNeverOvershoots) {
-  TimingWheel wheel;
-  wheel.add(42, 1);
-  const auto hint = wheel.next_expiry_hint();
-  ASSERT_TRUE(hint.has_value());
-  EXPECT_LE(*hint, 42u);
-  EXPECT_EQ(*hint, 42u);  // within level 0, the hint is exact
-  EXPECT_FALSE(TimingWheel().next_expiry_hint().has_value());
-}
-
-TEST(TimingWheel, ManyTimersSameSlotDistinctLaps) {
-  TimingWheel wheel;
-  // Same level-0 slot (5), different laps: 5, 261.
-  wheel.add(5, 1);
-  wheel.add(5 + 256, 2);
-  std::vector<TimingWheel::Expired> out;
-  wheel.advance_to(5, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].cookie, 1u);
-  wheel.advance_to(261, out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1].cookie, 2u);
 }
 
 // ---- timer block ------------------------------------------------------------------
@@ -226,6 +150,66 @@ TEST(TimerBlock, BatchDeliveryCoalescesSameTickExpirations) {
   EXPECT_EQ(cookies,
             (std::vector<std::uint64_t>{10, 11, 12, 13, 14}));
   EXPECT_EQ(timers.fired(), 5u);
+}
+
+TEST(TimerBlock, PastTicksClampToNextTick) {
+  // A timer due on a tick the block has already woken for fires on the
+  // next tick, never in the past and never twice on one tick.
+  sim::Scheduler sched;
+  TimerBlock timers(sched, sim::Time::micros(1));
+  std::vector<sim::Time> fires;
+  on_each_expiry(timers,
+                 [&](const TimerEventData& d) { fires.push_back(d.fired_at); });
+  timers.set_oneshot(sim::Time::micros(100));
+  sched.at(sim::Time::micros(100),
+           [&] { timers.set_oneshot(sim::Time::zero()); });
+  sched.run_until(sim::Time::millis(1));
+  EXPECT_EQ(fires, (std::vector<sim::Time>{sim::Time::micros(100),
+                                           sim::Time::micros(101)}));
+}
+
+TEST(TimerBlock, WakesOnlyOnTicksThatExpire) {
+  // However many timers are pending, the block holds one scheduler entry,
+  // at the earliest due tick, and wakes once per distinct fire tick.
+  sim::Scheduler sched;
+  TimerBlock timers(sched, sim::Time::micros(1));
+  std::size_t bursts = 0;
+  timers.on_expire = [&](const TimerEventData*, std::size_t) { ++bursts; };
+  timers.set_periodic(sim::Time::millis(1));    // 1, 2, 3 ms
+  timers.set_oneshot(sim::Time::micros(2500));  // 2.5 ms
+  timers.set_oneshot(sim::Time::millis(2));     // joins the 2 ms burst
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_EQ(sched.run_until(sim::Time::micros(3500)), 4u);
+  EXPECT_EQ(bursts, 4u);
+  EXPECT_EQ(timers.fired(), 5u);
+}
+
+TEST(TimerBlock, SteadyStateDoesNotAllocate) {
+  // 64 periodic timers plus a one-shot cancelled and re-set on every
+  // burst: once warm, the wake/re-arm/cancel path makes no heap call.
+  sim::Scheduler sched;
+  TimerBlock timers(sched, sim::Time::micros(1));
+  std::uint64_t fires = 0;
+  TimerId churn = 0;
+  timers.on_expire = [&](const TimerEventData*, std::size_t n) {
+    fires += n;
+    if (churn != 0) {
+      timers.cancel(churn);
+    }
+    churn = timers.set_oneshot(sim::Time::micros(37), 0xc0de);
+  };
+  for (int i = 0; i < 64; ++i) {
+    timers.set_periodic(sim::Time::micros(100 + i),
+                        static_cast<std::uint64_t>(i));
+  }
+  sched.run_until(sim::Time::micros(200));  // one period of every timer
+  const std::optional<std::uint64_t> before = sim::heap_allocations();
+  ASSERT_TRUE(before.has_value()) << "test binary must link edp_heap_counter";
+  const std::uint64_t fires_before = fires;
+  sched.run_until(sim::Time::millis(30));
+  const std::optional<std::uint64_t> after = sim::heap_allocations();
+  EXPECT_GE(fires - fires_before, 10'000u);
+  EXPECT_EQ(*after - *before, 0u);
 }
 
 // ---- packet generator ---------------------------------------------------------------

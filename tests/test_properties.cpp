@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <vector>
 
 #include "core/aggregated_register.hpp"
 #include "core/event_switch.hpp"
-#include "core/timer_wheel.hpp"
+#include "core/timer_block.hpp"
 #include "pisa/meter.hpp"
 #include "stats/sliding_window.hpp"
 #include "topo/host.hpp"
@@ -265,49 +266,159 @@ TEST(ChecksumProperty, AnySingleBitFlipDetected) {
   }
 }
 
-// ---- P6: timing wheel fires everything exactly once, in order --------------------------------
+// ---- P6: timer block fires every live timer on its tick, once, in arm order ---------
+//
+// Random set_periodic / set_oneshot / cancel over delays of 1 to 2e6 ticks,
+// checked against a model: every live timer fires exactly on its
+// ceil-quantized tick (periodic ones once per period, re-armed from the
+// scheduled tick), timers due on one tick arrive as one burst in arm
+// order, and cancelled timers never fire.
 
-class TimingWheelProperty : public ::testing::TestWithParam<std::uint64_t> {};
+class TimerBlockProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TimingWheelProperty, AllTimersFireOnceInOrder) {
+TEST_P(TimerBlockProperty, AllTimersFireOnceInOrder) {
+  constexpr std::int64_t kRes = 1'000'000;  // 1 us, in ps
   sim::Random rng(GetParam());
-  core::TimingWheel wheel;
-  std::map<core::TimerId, std::uint64_t> want;  // id -> fire tick
-  for (int i = 0; i < 500; ++i) {
-    // Mix of short, medium and long delays across wheel levels.
-    std::uint64_t delay = 0;
+  sim::Scheduler sched;
+  core::TimerBlock timers(sched, sim::Time::picos(kRes));
+
+  struct Want {
+    std::uint64_t tick;  ///< next due tick
+    sim::Time period;    ///< zero => one-shot
+    std::uint64_t seq;   ///< arm order of the pending arm
+  };
+  std::map<core::TimerId, Want> live;
+  std::map<std::uint64_t, std::size_t> due;  // tick -> live timers due then
+  std::uint64_t seq = 0;
+  std::uint64_t last_tick = 0;
+  std::uint64_t fires = 0;
+  std::size_t max_burst = 0;
+  const auto ceil_tick = [](sim::Time t) {
+    return static_cast<std::uint64_t>((t.ps() + kRes - 1) / kRes);
+  };
+  const auto at_tick = [](std::uint64_t tick) {
+    return sim::Time::picos(static_cast<std::int64_t>(tick) * kRes);
+  };
+  const auto arm = [&](core::TimerId id, std::uint64_t tick,
+                       sim::Time period) {
+    tick = std::max(tick, last_tick + 1);
+    live[id] = Want{tick, period, seq++};
+    ++due[tick];
+  };
+  const auto disarm = [&](std::uint64_t tick) {
+    if (--due[tick] == 0) {
+      due.erase(tick);
+    }
+  };
+
+  timers.on_expire = [&](const core::TimerEventData* d, std::size_t n) {
+    ASSERT_EQ(sched.now().ps() % kRes, 0) << "wake off the tick grid";
+    const auto tick = static_cast<std::uint64_t>(sched.now().ps() / kRes);
+    ASSERT_GT(tick, last_tick) << "two bursts on one tick";
+    ASSERT_FALSE(due.empty());
+    ASSERT_EQ(due.begin()->first, tick) << "a due timer was skipped";
+    ASSERT_EQ(due.begin()->second, n) << "burst at tick " << tick;
+    last_tick = tick;
+    max_burst = std::max(max_burst, n);
+    std::uint64_t prev_seq = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto it = live.find(d[i].timer_id);
+      ASSERT_NE(it, live.end()) << "timer " << d[i].timer_id
+                                << " fired while not pending";
+      Want& w = it->second;
+      ASSERT_EQ(w.tick, tick);
+      EXPECT_EQ(d[i].scheduled_for, at_tick(tick));
+      EXPECT_EQ(d[i].fired_at, sched.now());
+      EXPECT_EQ(d[i].cookie, std::uint64_t{d[i].timer_id} * 3);
+      ASSERT_TRUE(i == 0 || prev_seq < w.seq) << "burst not in arm order";
+      prev_seq = w.seq;
+      ++fires;
+      disarm(tick);
+      if (w.period > sim::Time::zero()) {
+        arm(it->first, ceil_tick(d[i].scheduled_for + w.period), w.period);
+      } else {
+        live.erase(it);
+      }
+    }
+  };
+
+  // Delays over three decades of ticks, off the tick grid by up to a tick.
+  const auto draw_ticks = [&]() -> std::int64_t {
     switch (rng.uniform(3)) {
       case 0:
-        delay = 1 + rng.uniform(250);
-        break;
+        return 1 + static_cast<std::int64_t>(rng.uniform(250));
       case 1:
-        delay = 256 + rng.uniform(65'000);
-        break;
-      case 2:
-        delay = 65'536 + rng.uniform(2'000'000);
-        break;
+        return 256 + static_cast<std::int64_t>(rng.uniform(65'000));
+      default:
+        return 65'536 + static_cast<std::int64_t>(rng.uniform(2'000'000));
     }
-    const std::uint64_t fire = wheel.now_tick() + delay;
-    want.emplace(wheel.add(fire, fire), fire);
+  };
+  std::vector<core::TimerId> ids;  // every id ever issued
+  std::size_t cancels = 0;
+  std::function<void(int)> step = [&](int left) {
+    const sim::Time now = sched.now();
+    const std::uint64_t op = rng.uniform(10);
+    if (op < 5) {
+      sim::Time delay = sim::Time::picos(
+          draw_ticks() * kRes - static_cast<std::int64_t>(rng.uniform(kRes)));
+      if (op == 0 && !live.empty()) {
+        // Land exactly on another pending timer's tick.
+        auto it = live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform(live.size())));
+        delay = at_tick(it->second.tick) - now;
+      }
+      const core::TimerId id =
+          timers.set_oneshot(delay, (ids.size() + 1) * 3);
+      ASSERT_EQ(id, ids.size() + 1) << "ids are issued 1, 2, 3, ...";
+      ids.push_back(id);
+      arm(id, ceil_tick(now + delay), sim::Time::zero());
+    } else if (op < 7) {
+      // Periods of at least 50 ticks keep the fire count bounded.
+      const sim::Time period = sim::Time::picos(
+          std::max<std::int64_t>(draw_ticks(), 50) * kRes +
+          static_cast<std::int64_t>(rng.uniform(kRes)));
+      const core::TimerId id =
+          timers.set_periodic(period, (ids.size() + 1) * 3);
+      ASSERT_EQ(id, ids.size() + 1) << "ids are issued 1, 2, 3, ...";
+      ids.push_back(id);
+      arm(id, ceil_tick(now + period), period);
+    } else if (!ids.empty()) {
+      const core::TimerId id = ids[rng.uniform(ids.size())];
+      const auto it = live.find(id);
+      ASSERT_EQ(timers.cancel(id), it != live.end()) << "cancel " << id;
+      if (it != live.end()) {
+        disarm(it->second.tick);
+        live.erase(it);
+        ++cancels;
+      }
+    }
+    if (left > 0) {
+      sched.after(sim::Time::picos(
+                      static_cast<std::int64_t>(rng.uniform(3'000)) * kRes +
+                      static_cast<std::int64_t>(rng.uniform(kRes))),
+                  [&step, left] { step(left - 1); });
+    }
+  };
+  sched.at(sim::Time::zero(), [&step] { step(500); });
+  sched.run_until(at_tick(1'000'000));
+  // Stop the periodic timers, then let every one-shot come due.
+  for (const auto& [id, w] : std::map<core::TimerId, Want>(live)) {
+    if (w.period > sim::Time::zero()) {
+      ASSERT_TRUE(timers.cancel(id));
+      disarm(w.tick);
+      live.erase(id);
+    }
   }
-  std::vector<core::TimingWheel::Expired> out;
-  wheel.advance_to(3'000'000, out);
-  ASSERT_EQ(out.size(), want.size());
-  std::uint64_t prev = 0;
-  for (const auto& e : out) {
-    ASSERT_LE(prev, e.fire_tick) << "fire order violated";
-    prev = e.fire_tick;
-    const auto it = want.find(e.id);
-    ASSERT_NE(it, want.end()) << "unknown or duplicate id";
-    EXPECT_EQ(it->second, e.fire_tick);
-    EXPECT_EQ(e.cookie, e.fire_tick);  // payload preserved
-    want.erase(it);
-  }
-  EXPECT_TRUE(want.empty());
-  EXPECT_EQ(wheel.pending(), 0u);
+  sched.run_until(at_tick(4'000'000));
+  EXPECT_TRUE(live.empty());
+  EXPECT_TRUE(due.empty());
+  EXPECT_EQ(timers.pending(), 0u);
+  EXPECT_EQ(timers.fired(), fires);
+  EXPECT_GT(cancels, 0u);
+  EXPECT_GT(max_burst, 1u) << "no same-tick burst exercised";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TimingWheelProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, TimerBlockProperty,
                          ::testing::Values(7u, 77u, 777u));
 
 // ---- P7: DWRR long-run fairness across weight vectors ----------------------------------------

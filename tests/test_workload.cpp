@@ -331,6 +331,17 @@ TEST(Replay, TimingDigestPinnedBenchmarkStorm) {
                          0xf5b4f1de2d695036ULL});
 }
 
+// liveness runs a 500 us check timer beside a 500 us probe generator for
+// ~70 ms of simulated time (~140 timer fires), so timer-block wakes tie
+// with generator events on the same timestamp: this pins the order the
+// timer block and the scheduler resolve those ties in.
+TEST(Replay, TimingDigestPinnedLiveness) {
+  expect_timing_digests("liveness", small_storm,
+                        {0xc89ad2dba335ef8fULL, 0xf071763bd2328f6dULL,
+                         0xf071763bd2328f6dULL, 0xf071763bd2328f6dULL,
+                         0x053e7884ab8b05f0ULL});
+}
+
 TEST(Replay, SteadyStateLoopDoesNotAllocate) {
   const apps::RegisteredProgram* app = find_program("ecn-marking");
   ASSERT_NE(app, nullptr);
